@@ -12,9 +12,9 @@
 
 #include <cstdio>
 
-#include "cpu/cpu.hh"
 #include "driver/sim_pool.hh"
 #include "support/table.hh"
+#include "ucode/rom.hh"
 #include "upc/analyzer.hh"
 #include "workload/experiments.hh"
 
@@ -42,10 +42,9 @@ main(int argc, char **argv)
     TextTable t("Effect of the scheduling quantum (flush interval)");
     t.addRow({"Quantum ticks", "CtxSw headway", "TB miss/instr",
               "MemMgmt cyc/instr", "CPI"});
-    Cpu780 ref;
     for (size_t i = 0; i < sweep.size(); ++i) {
         uint32_t q = quanta[i];
-        HistogramAnalyzer an(ref.controlStore(), results[i].hist);
+        HistogramAnalyzer an(microcodeRom(), results[i].hist);
         std::string label = std::to_string(q) +
             (q == 4 ? " (default)" : "");
         t.addRow({label,

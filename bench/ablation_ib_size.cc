@@ -14,6 +14,7 @@
 #include "cpu/cpu.hh"
 #include "driver/sim_pool.hh"
 #include "support/table.hh"
+#include "ucode/rom.hh"
 #include "upc/analyzer.hh"
 #include "workload/experiments.hh"
 
@@ -42,11 +43,10 @@ main(int argc, char **argv)
     TextTable t("Effect of the IB size");
     t.addRow({"IB bytes", "CPI", "IB-Stall/instr", "Decode IB-Stall",
               "IB refs/instr"});
-    Cpu780 ref;
     for (size_t i = 0; i < sweep.size(); ++i) {
         unsigned bytes = sizes[i];
         const ExperimentResult &r = results[i];
-        HistogramAnalyzer an(ref.controlStore(), r.hist);
+        HistogramAnalyzer an(microcodeRom(), r.hist);
         double refs = static_cast<double>(r.hw.ibLongwordFetches) /
             r.hw.counters.instructions;
         std::string label = std::to_string(bytes) +

@@ -15,6 +15,7 @@
 #include "cpu/cpu.hh"
 #include "driver/sim_pool.hh"
 #include "support/table.hh"
+#include "ucode/rom.hh"
 #include "upc/analyzer.hh"
 #include "workload/experiments.hh"
 
@@ -43,10 +44,9 @@ main(int argc, char **argv)
     TextTable t("Effect of the write-buffer drain time");
     t.addRow({"Drain", "CPI", "W-Stall/instr", "CallRet W-Stall",
               "Character W-Stall"});
-    Cpu780 ref;
     for (size_t i = 0; i < sweep.size(); ++i) {
         uint32_t drain = drains[i];
-        HistogramAnalyzer an(ref.controlStore(), results[i].hist);
+        HistogramAnalyzer an(microcodeRom(), results[i].hist);
         std::string label = std::to_string(drain) +
             (drain == 6 ? " (11/780)" : "");
         t.addRow({label, TextTable::num(an.cyclesPerInstruction(), 2),

@@ -17,7 +17,6 @@
 #include <memory>
 #include <string>
 
-#include "cpu/cpu.hh"
 #include "driver/checkpoint.hh"
 #include "driver/sim_pool.hh"
 #include "support/faultinject.hh"
@@ -26,6 +25,7 @@
 #include "support/stats.hh"
 #include "support/table.hh"
 #include "support/trace.hh"
+#include "ucode/rom.hh"
 #include "upc/analyzer.hh"
 #include "upc/selfcheck.hh"
 #include "workload/experiments.hh"
@@ -94,7 +94,6 @@ rejectUnknownArgs(int argc, char **argv, int positional = 0)
 struct BenchRun
 {
     CompositeResult composite;
-    std::unique_ptr<Cpu780> ref; ///< for the control-store annotations
     std::unique_ptr<HistogramAnalyzer> analyzer;
 
     const HistogramAnalyzer &an() const { return *analyzer; }
@@ -154,9 +153,8 @@ runBench(int *argc, char **argv, const char *title)
             j.limits.timeoutSeconds = limits.timeoutSeconds;
     }
     r.composite = pool.runComposite(jobs_list);
-    r.ref = std::make_unique<Cpu780>();
     r.analyzer = std::make_unique<HistogramAnalyzer>(
-        r.ref->controlStore(), r.composite.hist);
+        microcodeRom(), r.composite.hist);
     PoolTelemetry tele = computeTelemetry(r.composite.parts);
     for (const auto &j : tele.jobs) {
         std::string marks;
@@ -207,8 +205,8 @@ runBench(int *argc, char **argv, const char *title)
         std::vector<uint64_t> weights;
         for (const SimJob &j : jobs_list)
             weights.push_back(j.weight);
-        SelfCheckReport rep = selfCheckComposite(
-            r.ref->controlStore(), r.composite, weights);
+        SelfCheckReport rep =
+            selfCheckComposite(microcodeRom(), r.composite, weights);
         std::printf("%s\n\n", rep.summary().c_str());
         if (!rep.ok())
             fatal("self-check failed (%zu violations)",

@@ -26,9 +26,8 @@ main(int argc, char **argv)
     std::printf("%s\n", t.str().c_str());
 
     std::printf("Per-workload interrupt headway:\n");
-    Cpu780 ref;
     for (const auto &part : r.composite.parts) {
-        HistogramAnalyzer an(ref.controlStore(), part.hist);
+        HistogramAnalyzer an(microcodeRom(), part.hist);
         std::printf("  %-18s interrupts 1/%.0f, context switches "
                     "1/%.0f\n",
                     part.name.c_str(), an.headwayInterrupts(),

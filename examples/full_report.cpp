@@ -14,7 +14,6 @@
 #include <cstdlib>
 
 #include "analysis/ulint.hh"
-#include "cpu/cpu.hh"
 #include "driver/checkpoint.hh"
 #include "driver/sim_pool.hh"
 #include "support/faultinject.hh"
@@ -23,6 +22,7 @@
 #include "support/stats.hh"
 #include "support/table.hh"
 #include "support/trace.hh"
+#include "ucode/rom.hh"
 #include "upc/analyzer.hh"
 #include "upc/selfcheck.hh"
 #include "workload/experiments.hh"
@@ -230,8 +230,7 @@ main(int argc, char **argv)
                                             tele.interruptedJobs,
                                             ckpt.enabled());
     }
-    Cpu780 ref;
-    HistogramAnalyzer an(ref.controlStore(), comp.hist);
+    HistogramAnalyzer an(microcodeRom(), comp.hist);
 
     std::printf("composite: %llu instructions, %.2f cycles/instr, "
                 "%.2f simulated seconds\n\n",
@@ -260,11 +259,10 @@ main(int argc, char **argv)
     // The static verifier runs over the same control store the
     // analyzer classifies with; its findings ride along in the
     // selfcheck output and (when any exist) the stats dump.
-    LintReport lint = lintControlStore(ref.controlStore());
+    LintReport lint = lintControlStore(microcodeRom());
 
     if (selfcheck) {
-        SelfCheckReport rep = selfCheckComposite(ref.controlStore(),
-                                                 comp);
+        SelfCheckReport rep = selfCheckComposite(microcodeRom(), comp);
         std::printf("\n%s\n", rep.summary().c_str());
         if (lint.clean()) {
             std::printf("static verifier: clean (%zu microwords, "

@@ -12,7 +12,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "cpu/cpu.hh"
+#include "ucode/rom.hh"
 #include "upc/analyzer.hh"
 #include "upc/hist_io.hh"
 #include "workload/experiments.hh"
@@ -26,7 +26,6 @@ main(int argc, char **argv)
                                : 1'000'000;
     const char *path = argc > 2 ? argv[2] : "upc780_histogram.csv";
 
-    Cpu780 ref; // annotations (the ROM build is deterministic)
     Histogram hist;
 
     if (argc > 2 && loadHistogramCsv(path, &hist) && hist.cycles()) {
@@ -38,13 +37,13 @@ main(int argc, char **argv)
         ExperimentResult r = runExperiment(commercialProfile(),
                                            cycles);
         hist = r.hist;
-        if (saveHistogramCsv(path, hist, ref.controlStore()))
+        if (saveHistogramCsv(path, hist, microcodeRom()))
             std::printf("saved raw histogram to '%s'\n", path);
     }
 
     // "Additional interpretation of the raw histogram data": three
     // different questions against the same counts.
-    HistogramAnalyzer an(ref.controlStore(), hist);
+    HistogramAnalyzer an(microcodeRom(), hist);
 
     std::printf("\nQ1: how fast is the machine?\n");
     std::printf("    %.2f cycles/instruction over %llu "
@@ -72,9 +71,9 @@ main(int argc, char **argv)
 
     // Round-trip integrity check.
     Histogram reloaded;
-    if (saveHistogramCsv(path, hist, ref.controlStore()) &&
+    if (saveHistogramCsv(path, hist, microcodeRom()) &&
         loadHistogramCsv(path, &reloaded)) {
-        HistogramAnalyzer an2(ref.controlStore(), reloaded);
+        HistogramAnalyzer an2(microcodeRom(), reloaded);
         std::printf("\nCSV round trip: %llu cycles preserved (%s)\n",
                     (unsigned long long)reloaded.cycles(),
                     reloaded.cycles() == hist.cycles() ? "ok"

@@ -17,6 +17,7 @@
 #include "cpu/cpu.hh"
 #include "driver/sim_pool.hh"
 #include "support/table.hh"
+#include "ucode/rom.hh"
 #include "upc/analyzer.hh"
 #include "workload/experiments.hh"
 
@@ -71,9 +72,8 @@ main(int argc, char **argv)
     TextTable t("CPI sensitivity to the memory system");
     t.addRow({"Configuration", "CPI", "R-Stall/instr", "IB-Stall",
               "TB miss/instr", "TB svc cyc"});
-    Cpu780 ref;
     for (size_t i = 0; i < sweep.size(); ++i) {
-        HistogramAnalyzer an(ref.controlStore(), results[i].hist);
+        HistogramAnalyzer an(microcodeRom(), results[i].hist);
         t.addRow({variants[i].name,
                   TextTable::num(an.cyclesPerInstruction(), 2),
                   TextTable::num(an.colTotal(TimeCol::RStall), 3),

@@ -12,7 +12,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "cpu/cpu.hh"
+#include "ucode/rom.hh"
 #include "upc/analyzer.hh"
 #include "workload/experiments.hh"
 
@@ -96,8 +96,7 @@ main(int argc, char **argv)
                 prof.name.c_str(), (unsigned long long)cycles);
 
     ExperimentResult r = runExperiment(prof, cycles);
-    Cpu780 ref;
-    const ControlStore &cs = ref.controlStore();
+    const ControlStore &cs = microcodeRom();
     HistogramAnalyzer an(cs, r.hist);
 
     uint64_t total = an.totalCycles();

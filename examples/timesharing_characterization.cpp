@@ -16,9 +16,9 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "cpu/cpu.hh"
 #include "driver/sim_pool.hh"
 #include "support/table.hh"
+#include "ucode/rom.hh"
 #include "upc/analyzer.hh"
 #include "workload/experiments.hh"
 
@@ -74,7 +74,6 @@ main(int argc, char **argv)
     uint64_t cycles = argc > 1 ? strtoull(argv[1], nullptr, 0)
                                : 2'000'000;
     const char *which_arg = argc > 2 ? argv[2] : "0";
-    Cpu780 ref;
 
     if (std::strcmp(which_arg, "all") == 0) {
         SimPool pool(jobs);
@@ -91,7 +90,7 @@ main(int argc, char **argv)
                         (unsigned long long)part.hw.terminalLinesOut,
                         part.wallSeconds);
         }
-        HistogramAnalyzer an(ref.controlStore(), comp.hist);
+        HistogramAnalyzer an(microcodeRom(), comp.hist);
         std::printf("\ninstructions: %llu  cycles/instruction: "
                     "%.2f\n\n",
                     (unsigned long long)an.instructions(),
@@ -115,7 +114,7 @@ main(int argc, char **argv)
                 (unsigned long long)cycles, cycles * 200e-9);
 
     ExperimentResult r = runJob(SimJob::forProfile(prof, cycles));
-    HistogramAnalyzer an(ref.controlStore(), r.hist);
+    HistogramAnalyzer an(microcodeRom(), r.hist);
 
     std::printf("instructions: %llu  cycles/instruction: %.2f  "
                 "(%.2fs wall)\n",

@@ -36,9 +36,7 @@ main(int argc, char **argv)
         }
     }
 
-    vax::ControlStore cs;
-    vax::buildMicrocodeRom(cs);
-    vax::LintReport rep = vax::lintControlStore(cs);
+    vax::LintReport rep = vax::lintControlStore(vax::microcodeRom());
 
     if (json) {
         std::fputs(rep.json().c_str(), stdout);

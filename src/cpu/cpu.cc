@@ -13,10 +13,9 @@ namespace vax
 {
 
 Cpu780::Cpu780(const SimConfig &cfg)
-    : cfg_(cfg), mem_(cfg.mem, cfg.seed), ib_(cfg.ibBytes),
-      ifetch_(ib_, mem_)
+    : cfg_(cfg), cs_(microcodeRom()), mem_(cfg.mem, cfg.seed),
+      ib_(cfg.ibBytes), ifetch_(ib_, mem_)
 {
-    buildMicrocodeRom(cs_);
     ebox_ = std::make_unique<Ebox>(cs_, mem_, ib_, ifetch_, intc_,
                                    timer_, hw_);
     // Stamp this thread's trace lines with this machine's cycle

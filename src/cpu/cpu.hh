@@ -2,10 +2,10 @@
  * @file
  * Cpu780: the assembled machine.
  *
- * Owns the control store (filled by the microcode ROM builder), the
- * memory subsystem, the CPU pipeline (IB, I-Fetch, I-Decode-in-EBOX,
- * EBOX), the interrupt controller and the interval clock, and drives
- * them cycle by cycle.
+ * Executes the shared microcode ROM (microcodeRom(): one immutable
+ * control store per process) and owns the memory subsystem, the CPU
+ * pipeline (IB, I-Fetch, I-Decode-in-EBOX, EBOX), the interrupt
+ * controller and the interval clock, and drives them cycle by cycle.
  */
 
 #ifndef UPC780_CPU_CPU_HH
@@ -126,7 +126,6 @@ class Cpu780
     IntervalTimer &timer() { return timer_; }
     HwCounters &hw() { return hw_; }
     const HwCounters &hw() const { return hw_; }
-    ControlStore &controlStore() { return cs_; }
     const ControlStore &controlStore() const { return cs_; }
     InstructionBuffer &ib() { return ib_; }
     IFetch &ifetch() { return ifetch_; }
@@ -135,7 +134,7 @@ class Cpu780
 
   private:
     SimConfig cfg_;
-    ControlStore cs_;
+    const ControlStore &cs_;
     MemSystem mem_;
     InstructionBuffer ib_;
     IFetch ifetch_;

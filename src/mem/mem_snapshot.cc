@@ -171,14 +171,14 @@ void
 PhysicalMemory::save(snap::Serializer &s) const
 {
     s.putU32(size());
-    s.putBytesRle(data_.data(), data_.size());
+    s.putBytesRle(data_, size_);
 }
 
 void
 PhysicalMemory::restore(snap::Deserializer &d)
 {
     d.expectU32(size(), "physical memory size");
-    d.getBytesRle(data_.data(), data_.size());
+    d.getBytesRle(data_, size_);
 }
 
 // ====================== MemSystem ======================

@@ -22,14 +22,25 @@ namespace snap { class Serializer; class Deserializer; }
  *
  * With a write-through cache, memory is always current, so the cache
  * model can be tag-only and all data comes from here.
+ *
+ * The backing store is one anonymous private mapping: the kernel
+ * supplies zero pages on first touch, so a machine pays for the pages
+ * it uses, not for zero-filling all 8 MB at construction (a bare
+ * per-instruction machine touches a handful).
  */
 class PhysicalMemory
 {
   public:
+    /** Map size_bytes of zeroed memory; throws std::bad_alloc if the
+     *  mapping fails. */
     explicit PhysicalMemory(uint32_t size_bytes);
+    ~PhysicalMemory();
+
+    PhysicalMemory(const PhysicalMemory &) = delete;
+    PhysicalMemory &operator=(const PhysicalMemory &) = delete;
 
     /** Total size in bytes. */
-    uint32_t size() const { return static_cast<uint32_t>(data_.size()); }
+    uint32_t size() const { return size_; }
 
     /** @{ Little-endian accessors; out-of-range addresses panic.
      *  The reads are inline: every instruction-buffer fill and data
@@ -38,7 +49,7 @@ class PhysicalMemory
     uint8_t
     readByte(PhysAddr pa) const
     {
-        upc_assert(pa < data_.size());
+        upc_assert(pa < size_);
         return data_[pa];
     }
 
@@ -46,7 +57,7 @@ class PhysicalMemory
     read(PhysAddr pa, unsigned bytes) const
     {
         upc_assert(bytes >= 1 && bytes <= 4);
-        upc_assert(static_cast<uint64_t>(pa) + bytes <= data_.size());
+        upc_assert(static_cast<uint64_t>(pa) + bytes <= size_);
         uint32_t v = 0;
         for (unsigned i = 0; i < bytes; ++i)
             v |= static_cast<uint32_t>(data_[pa + i]) << (8 * i);
@@ -67,7 +78,8 @@ class PhysicalMemory
     /** @} */
 
   private:
-    std::vector<uint8_t> data_;
+    uint8_t *data_ = nullptr;
+    uint32_t size_;
 };
 
 } // namespace vax

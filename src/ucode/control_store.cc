@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <utility>
 
 #include "support/logging.hh"
 
@@ -229,6 +230,12 @@ MicroAssembler::emitWord(const UAnnotation &ann, UFlow flow, USem sem,
     cs_.flows_.push_back(std::move(flow));
     cs_.resolved_ = false;
     return static_cast<UAddr>(cs_.words_.size() - 1);
+}
+
+const char *
+MicroAssembler::intern(std::string name)
+{
+    return cs_.names_.emplace_back(std::move(name)).c_str();
 }
 
 ULabel

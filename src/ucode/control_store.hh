@@ -30,10 +30,12 @@
 
 #include <array>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <initializer_list>
 #include <memory>
 #include <new>
+#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -323,6 +325,8 @@ struct EntryPoints
                 for (auto &cls : pos)
                     cls = kInvalidUAddr;
     }
+
+    bool operator==(const EntryPoints &) const = default;
 };
 
 class ControlStore
@@ -431,6 +435,9 @@ class ControlStore
     size_t semChunkUsed_ = 0; ///< bytes used in the newest chunk
     /** Keep-alive for the rare non-trivially-copyable callable. */
     std::vector<std::shared_ptr<const void>> semBoxed_;
+    /** Annotation names composed at ROM time.  A deque never moves
+     *  its elements, so the interned c_str() pointers stay valid. */
+    std::deque<std::string> names_;
 };
 
 /**
@@ -479,6 +486,10 @@ class MicroAssembler
         return emitWord(ann, std::move(flow), USem(*packed),
                         DecodedWord{&invokeSem<Fn>, packed});
     }
+
+    /** Copy a name composed at ROM time into the store, which owns
+     *  it for its lifetime; returns the C string for UAnnotation. */
+    const char *intern(std::string name);
 
     /** Allocate an unbound label. */
     ULabel newLabel();

@@ -1,6 +1,5 @@
 #include "ucode/rom.hh"
 
-#include <cstring>
 #include <string>
 
 #include "ucode/rom_ctx.hh"
@@ -61,12 +60,8 @@ makeStoreTail(RomCtx &c, Row row, const char *name)
 {
     StoreTail st{c.lbl(), c.lbl()};
 
-    std::string reg_name = std::string(name) + ".streg";
-    std::string mem_name = std::string(name) + ".stmem";
-    // Names must outlive the builder; leak a tiny string copy (the ROM
-    // is built once per control store).
-    const char *rn = strdup(reg_name.c_str());
-    const char *mn = strdup(mem_name.c_str());
+    const char *rn = c.ua.intern(std::string(name) + ".streg");
+    const char *mn = c.ua.intern(std::string(name) + ".stmem");
 
     // Condition codes are set by the flow's compute microword (so that
     // arithmetic V/C survive); these words only store and end.
@@ -92,10 +87,8 @@ ULabel
 makeTakenTail(RomCtx &c, Row exec_row, PcChangeKind pck, const char *name)
 {
     ULabel bdisp = c.lbl();
-    std::string bd_name = std::string(name) + ".bdisp";
-    std::string tk_name = std::string(name) + ".taken";
-    const char *bn = strdup(bd_name.c_str());
-    const char *tn = strdup(tk_name.c_str());
+    const char *bn = c.ua.intern(std::string(name) + ".bdisp");
+    const char *tn = c.ua.intern(std::string(name) + ".taken");
 
     c.bind(bdisp);
     {
@@ -161,6 +154,20 @@ buildMicrocodeRom(ControlStore &cs)
     // bound and every entry slot registered: the EBOX's optional
     // flow check and the static verifier both read the result.
     cs.resolveFlows();
+}
+
+const ControlStore &
+microcodeRom()
+{
+    // Deliberately never destroyed: under --strict a worker's fatal()
+    // calls exit() while sibling workers are still simulating, and
+    // static destruction must not free the ROM under their EBOXes.
+    static const ControlStore &rom = *[] {
+        auto *cs = new ControlStore;
+        buildMicrocodeRom(*cs);
+        return cs;
+    }();
+    return rom;
 }
 
 } // namespace vax

@@ -19,6 +19,16 @@ namespace vax
 /** Build the full microcode ROM into cs (must be empty). */
 void buildMicrocodeRom(ControlStore &cs);
 
+/**
+ * The process-wide microcode ROM: built on first use and shared,
+ * immutable, by every machine and every annotation reader.  The build
+ * is deterministic, so this store matches any private
+ * buildMicrocodeRom() store word for word; private stores remain for
+ * callers that plant defects in their own copy.  Safe to call from
+ * racing threads (the first caller builds, the others wait).
+ */
+const ControlStore &microcodeRom();
+
 } // namespace vax
 
 #endif // UPC780_UCODE_ROM_HH

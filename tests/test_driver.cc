@@ -14,6 +14,7 @@
 #include "cpu/cpu.hh"
 #include "driver/sim_pool.hh"
 #include "mem/mem_system.hh"
+#include "ucode/rom.hh"
 #include "upc/analyzer.hh"
 #include "upc/hist_io.hh"
 #include "upc/monitor.hh"
@@ -45,6 +46,22 @@ tempCsvPath(const char *tag)
 }
 
 } // anonymous namespace
+
+// Declared ahead of the merge-layer tests so that, in a process that
+// runs SimPool* and MergeLayer* together (pool_determinism_tsan), it
+// builds the first machine: the workers race into microcodeRom()'s
+// first-use initialization.
+TEST(SimPool, WorkersRaceToBuildTheFirstMachine)
+{
+    constexpr size_t kMachines = 8;
+    std::vector<const ControlStore *> seen(kMachines, nullptr);
+    SimPool(4).forEach(kMachines, [&seen](size_t i) {
+        Cpu780 cpu;
+        seen[i] = &cpu.controlStore();
+    });
+    for (const ControlStore *cs : seen)
+        EXPECT_EQ(cs, &microcodeRom());
+}
 
 // ===================== merge layer =====================
 

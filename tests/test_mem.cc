@@ -7,8 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "mem/mem_system.hh"
 #include "mem/page_table.hh"
+#include "support/snapshot.hh"
 
 namespace vax::test
 {
@@ -30,6 +33,58 @@ TEST(PhysMem, LoadImage)
     PhysicalMemory m(4096);
     m.load(0x200, {1, 2, 3, 4});
     EXPECT_EQ(m.read(0x200, 4), 0x04030201u);
+}
+
+TEST(PhysMem, FreshMemoryReadsZeroAfterDirtyPredecessor)
+{
+    constexpr uint32_t kSize = 8u << 20;
+    std::optional<PhysicalMemory> m(std::in_place, kSize);
+    m->write(0, 0xFFFFFFFF, 4);
+    m->write(kSize - 4, 0xFFFFFFFF, 4);
+    // A same-sized successor is the likeliest to be handed the
+    // predecessor's pages; they must come back zeroed.
+    m.emplace(kSize);
+    EXPECT_EQ(m->readByte(0), 0u);
+    EXPECT_EQ(m->readByte(kSize - 1), 0u);
+}
+
+TEST(PhysMem, OutOfRangeAccessPanics)
+{
+    PhysicalMemory m(4096);
+    EXPECT_DEATH(m.read(4096, 1), "failed");
+    EXPECT_DEATH(m.read(4094, 4), "failed");
+    EXPECT_DEATH(m.write(4096, 0, 1), "failed");
+    EXPECT_DEATH(m.write(4093, 0, 4), "failed");
+    EXPECT_DEATH(m.load(4094, {1, 2, 3}), "failed");
+}
+
+TEST(PhysMem, SparseSnapshotRoundTripsByteIdentically)
+{
+    constexpr uint32_t kSize = 8u << 20;
+    auto image = [](const PhysicalMemory &m) {
+        snap::Serializer s;
+        s.beginSection("phys");
+        m.save(s);
+        s.endSection();
+        return s.finish();
+    };
+    PhysicalMemory m(kSize);
+    m.write(0, 0x11223344, 4);
+    m.load(0x12345, {1, 2, 3});
+    m.write(kSize - 4, 0xCAFEF00D, 4);
+    std::vector<uint8_t> saved = image(m);
+    // Untouched pages encode as zero runs.
+    EXPECT_LT(saved.size(), 4096u);
+
+    PhysicalMemory back(kSize);
+    snap::Deserializer d(saved);
+    d.beginSection("phys");
+    back.restore(d);
+    d.endSection();
+    EXPECT_EQ(back.read(0x12345, 3), 0x030201u);
+    EXPECT_EQ(back.read(kSize - 4, 4), 0xCAFEF00Du);
+    // The encoding is lossless, so equal images mean equal memories.
+    EXPECT_EQ(image(back), saved);
 }
 
 // ---------------- cache ----------------

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "cpu/cpu.hh"
+#include "ucode/rom.hh"
 #include "upc/analyzer.hh"
 #include "upc/monitor.hh"
 
@@ -227,6 +228,13 @@ TEST(ControlStoreLayout, FitsHistogramBoard)
                   kInvalidUAddr)
             << info.mnemonic;
     }
+}
+
+TEST(ControlStoreLayout, MachinesShareOneRom)
+{
+    Cpu780 a, b;
+    EXPECT_EQ(&a.controlStore(), &microcodeRom());
+    EXPECT_EQ(&b.controlStore(), &microcodeRom());
 }
 
 TEST(ControlStoreLayout, AnnotationsComplete)

@@ -103,6 +103,30 @@ findFlow(const UBoundReport &rep, const std::string &name)
     return nullptr;
 }
 
+/** Word-for-word equality of two built control stores. */
+void
+expectSameRom(const ControlStore &a, const ControlStore &b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    EXPECT_TRUE(a.entries == b.entries);
+    for (UAddr w = 0; w < a.size(); ++w) {
+        const UAnnotation &x = a.annotation(w);
+        const UAnnotation &y = b.annotation(w);
+        EXPECT_STREQ(x.name, y.name) << "uPC " << w;
+        EXPECT_EQ(x.row, y.row) << x.name;
+        EXPECT_EQ(x.mem, y.mem) << x.name;
+        EXPECT_EQ(x.ibRequest, y.ibRequest) << x.name;
+        EXPECT_EQ(x.mark, y.mark) << x.name;
+        EXPECT_EQ(x.specMode, y.specMode) << x.name;
+        EXPECT_EQ(x.spec1, y.spec1) << x.name;
+        EXPECT_EQ(x.flow, y.flow) << x.name;
+        EXPECT_EQ(x.pck, y.pck) << x.name;
+        EXPECT_EQ(a.successors(w), b.successors(w)) << x.name;
+        EXPECT_EQ(a.decodedTable()[w].fn, b.decodedTable()[w].fn)
+            << x.name;
+    }
+}
+
 } // anonymous namespace
 
 TEST(UBound, ProductionRomIsFullyBounded)
@@ -127,14 +151,20 @@ TEST(UBound, ProductionRomIsFullyBounded)
 
 TEST(UBound, ReportsAreDeterministic)
 {
+    // A second private build and the process-wide ROM are the same
+    // ROM, word for word, and bound to identical reports.
     ControlStore cs1, cs2;
     buildMicrocodeRom(cs1);
     buildMicrocodeRom(cs2);
     UBoundReport a = uboundAnalyze(cs1);
-    UBoundReport b = uboundAnalyze(cs2);
-    EXPECT_EQ(a.text(), b.text());
-    EXPECT_EQ(a.csv(), b.csv());
-    EXPECT_EQ(a.json(), b.json());
+    const ControlStore *others[] = {&cs2, &microcodeRom()};
+    for (const ControlStore *cs : others) {
+        expectSameRom(cs1, *cs);
+        UBoundReport b = uboundAnalyze(*cs);
+        EXPECT_EQ(a.text(), b.text());
+        EXPECT_EQ(a.csv(), b.csv());
+        EXPECT_EQ(a.json(), b.json());
+    }
 }
 
 TEST(UBound, MiniRomIsClean)

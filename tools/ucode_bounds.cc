@@ -190,9 +190,7 @@ main(int argc, char **argv)
         return 2;
     }
 
-    ControlStore cs;
-    buildMicrocodeRom(cs);
-    UBoundAnalysis ub(cs);
+    UBoundAnalysis ub(microcodeRom());
     UBoundReport report = ub.report();
 
     UcharReport baseline;
