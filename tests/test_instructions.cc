@@ -26,6 +26,11 @@ struct ModeCase
     void (*build)(Assembler &);
 };
 
+// Print a case by its name.  gtest's default dumps the struct's bytes,
+// pointers included; that text lands in the ctest test names, which
+// would then change with every build's load address.
+void PrintTo(const ModeCase &c, std::ostream *os) { *os << c.name; }
+
 class AddressingModeTest : public ::testing::TestWithParam<ModeCase>
 {
 };
@@ -135,6 +140,8 @@ struct AluCase
     uint8_t opcode;
     uint32_t src, dst, expect;
 };
+
+void PrintTo(const AluCase &c, std::ostream *os) { *os << c.name; }
 
 class AluInstrTest : public ::testing::TestWithParam<AluCase>
 {
