@@ -122,12 +122,18 @@ Operand::imm(uint32_t value)
 }
 
 Operand
-Operand::immAddr(const std::string &label)
+Operand::labelRef(Kind kind, LabelRef label)
 {
     Operand o;
-    o.kind_ = Kind::ImmediateLabel;
-    o.label_ = label;
+    o.kind_ = kind;
+    o.label_ = std::move(label);
     return o;
+}
+
+Operand
+Operand::immAddr(LabelRef label)
+{
+    return labelRef(Kind::ImmediateLabel, std::move(label));
 }
 
 Operand
@@ -140,39 +146,27 @@ Operand::absolute(uint32_t address)
 }
 
 Operand
-Operand::absoluteLabel(const std::string &label)
+Operand::absoluteLabel(LabelRef label)
 {
-    Operand o;
-    o.kind_ = Kind::AbsoluteLabel;
-    o.label_ = label;
-    return o;
+    return labelRef(Kind::AbsoluteLabel, std::move(label));
 }
 
 Operand
-Operand::rel(const std::string &label)
+Operand::rel(LabelRef label)
 {
-    Operand o;
-    o.kind_ = Kind::RelLabel;
-    o.label_ = label;
-    return o;
+    return labelRef(Kind::RelLabel, std::move(label));
 }
 
 Operand
-Operand::relDef(const std::string &label)
+Operand::relDef(LabelRef label)
 {
-    Operand o;
-    o.kind_ = Kind::RelDefLabel;
-    o.label_ = label;
-    return o;
+    return labelRef(Kind::RelDefLabel, std::move(label));
 }
 
 Operand
-Operand::branch(const std::string &label)
+Operand::branch(LabelRef label)
 {
-    Operand o;
-    o.kind_ = Kind::BranchLabel;
-    o.label_ = label;
-    return o;
+    return labelRef(Kind::BranchLabel, std::move(label));
 }
 
 Operand
@@ -226,44 +220,86 @@ Assembler::Assembler(VirtAddr base)
 {
 }
 
-void
-Assembler::label(const std::string &name)
+Label
+Assembler::newLabel()
 {
-    if (labels_.count(name))
-        fatal("assembler: duplicate label '%s'", name.c_str());
-    labels_[name] = here();
+    labels_.emplace_back();
+    return Label{static_cast<uint32_t>(labels_.size() - 1)};
+}
+
+Label
+Assembler::labelId(const std::string &name)
+{
+    auto [it, inserted] =
+        ids_.try_emplace(name, static_cast<uint32_t>(labels_.size()));
+    if (inserted)
+        labels_.emplace_back();
+    return Label{it->second};
+}
+
+std::string
+Assembler::labelName(uint32_t id) const
+{
+    // Cold: only error messages need a label's name back.
+    for (const auto &[name, named] : ids_)
+        if (named == id)
+            return name;
+    return "#" + std::to_string(id);
+}
+
+const Assembler::LabelSlot &
+Assembler::slot(uint32_t id) const
+{
+    upc_assert(id < labels_.size()); // a Label of another assembler?
+    return labels_[id];
+}
+
+uint32_t
+Assembler::resolve(const LabelRef &l)
+{
+    return l.name_.empty() ? l.id_.id : labelId(l.name_).id;
 }
 
 void
-Assembler::putBytes(uint64_t v, unsigned n)
+Assembler::label(LabelRef l)
 {
-    for (unsigned i = 0; i < n; ++i)
-        image_.push_back(static_cast<uint8_t>(v >> (8 * i)));
+    uint32_t id = resolve(l);
+    if (slot(id).placed)
+        fatal("assembler: duplicate label '%s'", labelName(id).c_str());
+    labels_[id] = {here(), true};
 }
 
-void
-Assembler::byte(uint8_t v)
+VirtAddr
+Assembler::placedAddr(uint32_t id) const
 {
-    image_.push_back(v);
+    const LabelSlot &s = slot(id);
+    if (!s.placed)
+        fatal("assembler: undefined label '%s'", labelName(id).c_str());
+    return s.addr;
 }
 
-void
-Assembler::word(uint16_t v)
+VirtAddr
+Assembler::addrOf(const LabelRef &l) const
 {
-    putBytes(v, 2);
+    if (l.name_.empty())
+        return placedAddr(l.id_.id);
+    auto it = ids_.find(l.name_);
+    if (it == ids_.end())
+        fatal("assembler: undefined label '%s'", l.name_.c_str());
+    return placedAddr(it->second);
 }
 
-void
-Assembler::lword(uint32_t v)
+bool
+Assembler::hasLabel(const std::string &name) const
 {
-    putBytes(v, 4);
+    auto it = ids_.find(name);
+    return it != ids_.end() && labels_[it->second].placed;
 }
 
 void
 Assembler::ascii(const std::string &s)
 {
-    for (char c : s)
-        image_.push_back(static_cast<uint8_t>(c));
+    image_.insert(image_.end(), s.begin(), s.end());
 }
 
 void
@@ -281,21 +317,26 @@ Assembler::align(unsigned a)
 }
 
 void
-Assembler::addrLong(const std::string &lbl)
+Assembler::fixup(FixKind kind, uint32_t label, unsigned bytes,
+                 VirtAddr origin)
 {
-    fixups_.push_back({FixKind::AbsLong, image_.size(), here() + 4, 0, lbl});
-    putBytes(0, 4);
+    fixups_.push_back(
+        {kind, label, static_cast<uint32_t>(image_.size()), origin});
+    putBytes(0, bytes);
 }
 
 void
-Assembler::caseTable(const std::vector<std::string> &targets)
+Assembler::addrLong(LabelRef l)
+{
+    fixup(FixKind::AbsLong, resolve(l), 4, 0);
+}
+
+void
+Assembler::caseTable(std::initializer_list<LabelRef> targets)
 {
     VirtAddr table_base = here();
-    for (const auto &t : targets) {
-        fixups_.push_back(
-            {FixKind::CaseWord, image_.size(), here() + 2, table_base, t});
-        putBytes(0, 2);
-    }
+    for (const LabelRef &t : targets)
+        fixup(FixKind::CaseWord, resolve(t), 2, table_base);
 }
 
 void
@@ -313,9 +354,8 @@ Assembler::emitOperand(const Operand &op, const OperandDef &def)
         if (op.kind_ != K::BranchLabel)
             fatal("assembler: branch operand must be a branch label");
         unsigned n = dataTypeBytes(def.type);
-        fixups_.push_back({n == 1 ? FixKind::BranchByte : FixKind::BranchWord,
-                           image_.size(), here() + n, 0, op.label_});
-        putBytes(0, n);
+        fixup(n == 1 ? FixKind::BranchByte : FixKind::BranchWord,
+              resolve(op.label_), n, here() + n);
         return;
     }
 
@@ -358,9 +398,7 @@ Assembler::emitOperand(const Operand &op, const OperandDef &def)
             dataTypeBytes(def.type) != 4)
             fatal("assembler: immAddr needs a longword read operand");
         image_.push_back(0x8F);
-        fixups_.push_back({FixKind::AbsLong, image_.size(), here() + 4,
-                           0, op.label_});
-        putBytes(0, 4);
+        fixup(FixKind::AbsLong, resolve(op.label_), 4, 0);
         break;
       case K::Absolute:
         image_.push_back(0x9F);
@@ -368,9 +406,7 @@ Assembler::emitOperand(const Operand &op, const OperandDef &def)
         break;
       case K::AbsoluteLabel:
         image_.push_back(0x9F);
-        fixups_.push_back({FixKind::AbsLong, image_.size(), here() + 4,
-                           0, op.label_});
-        putBytes(0, 4);
+        fixup(FixKind::AbsLong, resolve(op.label_), 4, 0);
         break;
       case K::Disp:
       case K::DispDef: {
@@ -398,9 +434,7 @@ Assembler::emitOperand(const Operand &op, const OperandDef &def)
         bool deferred = op.kind_ == K::RelDefLabel;
         // Word-displacement PC-relative form.
         image_.push_back(static_cast<uint8_t>((deferred ? 0xD0 : 0xC0) | PC));
-        fixups_.push_back({FixKind::RelWord, image_.size(), here() + 2, 0,
-                           op.label_});
-        putBytes(0, 2);
+        fixup(FixKind::RelWord, resolve(op.label_), 2, here() + 2);
         break;
       }
       case K::BranchLabel:
@@ -409,7 +443,7 @@ Assembler::emitOperand(const Operand &op, const OperandDef &def)
 }
 
 void
-Assembler::instr(uint8_t opcode, const std::vector<Operand> &ops)
+Assembler::instr(uint8_t opcode, std::span<const Operand> ops)
 {
     const OpcodeInfo &info = opcodeInfo(opcode);
     if (!info.valid)
@@ -424,62 +458,40 @@ Assembler::instr(uint8_t opcode, const std::vector<Operand> &ops)
         emitOperand(ops[i], info.operands[i]);
 }
 
-VirtAddr
-Assembler::addrOf(const std::string &lbl) const
-{
-    auto it = labels_.find(lbl);
-    if (it == labels_.end())
-        fatal("assembler: undefined label '%s'", lbl.c_str());
-    return it->second;
-}
-
-bool
-Assembler::hasLabel(const std::string &lbl) const
-{
-    return labels_.count(lbl) != 0;
-}
-
 std::vector<uint8_t>
 Assembler::finish()
 {
     upc_assert(!finished_);
     finished_ = true;
-    for (const auto &f : fixups_) {
-        VirtAddr target = addrOf(f.label);
-        int64_t value = 0;
+    for (const Fixup &f : fixups_) {
+        VirtAddr target = placedAddr(f.label);
+        int64_t value = static_cast<int64_t>(target) - f.origin;
+        uint8_t *field = image_.data() + f.offset;
         switch (f.kind) {
           case FixKind::BranchByte:
-            value = static_cast<int64_t>(target) - f.nextPc;
             if (value < -128 || value > 127)
                 fatal("assembler: byte branch to '%s' out of range (%lld)",
-                      f.label.c_str(), static_cast<long long>(value));
-            image_[f.offset] = static_cast<uint8_t>(value);
+                      labelName(f.label).c_str(),
+                      static_cast<long long>(value));
+            field[0] = static_cast<uint8_t>(value);
             break;
           case FixKind::BranchWord:
           case FixKind::RelWord:
-            value = static_cast<int64_t>(target) - f.nextPc;
+          case FixKind::CaseWord:
             if (value < -32768 || value > 32767)
-                fatal("assembler: word displacement to '%s' out of range",
-                      f.label.c_str());
-            image_[f.offset] = static_cast<uint8_t>(value);
-            image_[f.offset + 1] = static_cast<uint8_t>(value >> 8);
+                fatal("assembler: %s displacement to '%s' out of range",
+                      f.kind == FixKind::CaseWord ? "case" : "word",
+                      labelName(f.label).c_str());
+            field[0] = static_cast<uint8_t>(value);
+            field[1] = static_cast<uint8_t>(value >> 8);
             break;
           case FixKind::AbsLong:
             for (unsigned i = 0; i < 4; ++i)
-                image_[f.offset + i] =
-                    static_cast<uint8_t>(target >> (8 * i));
-            break;
-          case FixKind::CaseWord:
-            value = static_cast<int64_t>(target) - f.tableBase;
-            if (value < -32768 || value > 32767)
-                fatal("assembler: case displacement to '%s' out of range",
-                      f.label.c_str());
-            image_[f.offset] = static_cast<uint8_t>(value);
-            image_[f.offset + 1] = static_cast<uint8_t>(value >> 8);
+                field[i] = static_cast<uint8_t>(target >> (8 * i));
             break;
         }
     }
-    return image_;
+    return std::move(image_);
 }
 
 } // namespace vax

@@ -6,6 +6,13 @@
  * generator, the OS image builder, the examples and the tests all
  * assemble through this interface.  Labels are resolved in finish();
  * displacement-size violations are user (generator) errors and fatal.
+ *
+ * Labels are integer ids private to one assembler.  Generators that
+ * build many images make anonymous ids with newLabel(); string names
+ * are a thin front that interns each name to an id on first use, so
+ * hand-written code (the kernel, the corpus, tests) reads naturally.
+ * Nothing is shared between assemblers, so threads may each build
+ * their own image concurrently.
  */
 
 #ifndef UPC780_ARCH_ASSEMBLER_HH
@@ -13,8 +20,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
+#include <initializer_list>
+#include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "arch/opcodes.hh"
@@ -23,6 +32,34 @@
 
 namespace vax
 {
+
+/**
+ * A label of one Assembler: an index into that assembler's label
+ * table, made by Assembler::newLabel() or Assembler::labelId().  It
+ * means nothing to any other assembler.
+ */
+struct Label
+{
+    uint32_t id = UINT32_MAX;
+};
+
+/**
+ * A label named by id or by string: everything that refers to a
+ * label takes either.  The assembler that resolves a name interns it
+ * to an id on first use.
+ */
+class LabelRef
+{
+  public:
+    LabelRef(Label id) : id_(id) {}
+    LabelRef(std::string name) : name_(std::move(name)) {}
+    LabelRef(const char *name) : name_(name) {}
+
+  private:
+    friend class Assembler;
+    Label id_;
+    std::string name_; ///< the label's name; empty when named by id_
+};
 
 /**
  * One operand of an instruction being assembled.
@@ -62,17 +99,17 @@ class Operand
     /** Immediate I^#value ((PC)+); size follows the operand type. */
     static Operand imm(uint32_t value);
     /** Immediate whose value is the address of a label (long only). */
-    static Operand immAddr(const std::string &label);
+    static Operand immAddr(LabelRef label);
     /** Absolute @#address. */
     static Operand absolute(uint32_t address);
     /** Absolute @#address whose value is the address of a label. */
-    static Operand absoluteLabel(const std::string &label);
+    static Operand absoluteLabel(LabelRef label);
     /** PC-relative reference to a label (word displacement). */
-    static Operand rel(const std::string &label);
+    static Operand rel(LabelRef label);
     /** PC-relative deferred reference to a label. */
-    static Operand relDef(const std::string &label);
+    static Operand relDef(LabelRef label);
     /** Branch displacement to a label (for 'b' operands only). */
-    static Operand branch(const std::string &label);
+    static Operand branch(LabelRef label);
 
     /** Return a copy of this operand with an index register prefix. */
     Operand idx(uint8_t rx) const;
@@ -105,13 +142,15 @@ class Operand
         AbsoluteLabel, RelLabel, RelDefLabel, BranchLabel,
     };
 
+    static Operand labelRef(Kind kind, LabelRef label);
+
     Kind kind_ = Kind::Register;
     uint8_t reg_ = 0;
-    int32_t value_ = 0;        ///< literal / displacement / immediate
     uint8_t dispBytes_ = 0;    ///< forced disp width; 0 = auto-size
-    std::string label_;
     bool indexed_ = false;
     uint8_t indexReg_ = 0;
+    int32_t value_ = 0;        ///< literal / displacement / immediate
+    LabelRef label_{Label{}};  ///< for the label-reference kinds
 };
 
 /**
@@ -123,8 +162,18 @@ class Assembler
   public:
     explicit Assembler(VirtAddr base);
 
-    /** Define a label at the current location. */
-    void label(const std::string &name);
+    /** @{ Labels. */
+    /** A new anonymous label, to be placed later with label(). */
+    Label newLabel();
+    /** The label with this name, created unplaced on first use. */
+    Label labelId(const std::string &name);
+    /** Place a label at the current location (fatal if placed twice). */
+    void label(LabelRef l);
+    /** Address of a placed label (fatal if unplaced); valid anytime. */
+    VirtAddr addrOf(const LabelRef &l) const;
+    /** True if the named label has been placed. */
+    bool hasLabel(const std::string &name) const;
+    /** @} */
 
     /** Current location counter (virtual address). */
     VirtAddr here() const { return base_ + image_.size(); }
@@ -132,25 +181,42 @@ class Assembler
     /** Base virtual address of the image. */
     VirtAddr base() const { return base_; }
 
+    /** Expect an image of about this many bytes (saves regrowth). */
+    void reserve(size_t bytes) { image_.reserve(bytes); }
+
     /**
      * Assemble one instruction.
      *
      * The operand list must match the opcode's signature (count and
      * branch-displacement position); mismatches are fatal.
      */
-    void instr(uint8_t opcode, const std::vector<Operand> &ops = {});
+    void
+    instr(uint8_t opcode, std::initializer_list<Operand> ops = {})
+    {
+        instr(opcode, std::span<const Operand>(ops.begin(), ops.size()));
+    }
+    void instr(uint8_t opcode, std::span<const Operand> ops);
 
-    /** @{ Raw data emission. */
-    void byte(uint8_t v);
-    void word(uint16_t v);
-    void lword(uint32_t v);
+    /** @{ Raw data emission, little-endian. */
+    void byte(uint8_t v) { image_.push_back(v); }
+    void word(uint16_t v) { putBytes(v, 2); }
+    void lword(uint32_t v) { putBytes(v, 4); }
     void ascii(const std::string &s);
     void space(unsigned n, uint8_t fill = 0);
     void align(unsigned a);
+    /** Append n zero bytes for the caller to fill in place (bulk
+     *  data); the pointer is good until the next emission. */
+    uint8_t *
+    extend(size_t n)
+    {
+        size_t at = image_.size();
+        image_.resize(at + n);
+        return image_.data() + at;
+    }
     /** @} */
 
     /** Emit a longword holding the address of a label (abs fixup). */
-    void addrLong(const std::string &label);
+    void addrLong(LabelRef label);
 
     /**
      * Emit a CASEx displacement table.
@@ -158,19 +224,16 @@ class Assembler
      * Word displacements relative to the table start, one per target
      * label, as the CASE instruction expects.
      */
-    void caseTable(const std::vector<std::string> &targets);
+    void caseTable(std::initializer_list<LabelRef> targets);
 
     /** Entry mask longword-pair for CALLS targets: emit a 16-bit mask. */
     void entryMask(uint16_t mask);
 
-    /** Resolve fixups and return the image. Call exactly once. */
+    /**
+     * Resolve fixups and hand the image over (moved, not copied).
+     * Call exactly once; labels stay readable through addrOf().
+     */
     std::vector<uint8_t> finish();
-
-    /** Address of a defined label (fatal if missing); valid anytime. */
-    VirtAddr addrOf(const std::string &label) const;
-
-    /** True if the label has been defined. */
-    bool hasLabel(const std::string &label) const;
 
     /**
      * Observer called once per assembled instruction (after the
@@ -179,8 +242,8 @@ class Assembler
      * uses it to build an exact static instruction profile of the
      * image it emits.
      */
-    using InstrHook = std::function<void(const OpcodeInfo &,
-                                         const std::vector<Operand> &)>;
+    using InstrHook =
+        std::function<void(const OpcodeInfo &, std::span<const Operand>)>;
     void setInstrHook(InstrHook hook) { instrHook_ = std::move(hook); }
 
   private:
@@ -195,19 +258,38 @@ class Assembler
     struct Fixup
     {
         FixKind kind;
-        size_t offset;        ///< where the field lives in the image
-        VirtAddr nextPc;      ///< address just after the field
-        VirtAddr tableBase;   ///< for CaseWord
-        std::string label;
+        uint32_t label;   ///< label id
+        uint32_t offset;  ///< where the field lives in the image
+        VirtAddr origin;  ///< displacements count from here: the
+                          ///< address after the field, or the table
     };
 
+    struct LabelSlot
+    {
+        VirtAddr addr = 0;
+        bool placed = false;
+    };
+
+    void
+    putBytes(uint64_t v, unsigned n)
+    {
+        uint8_t *p = extend(n);
+        for (unsigned i = 0; i < n; ++i)
+            p[i] = static_cast<uint8_t>(v >> (8 * i));
+    }
+    void fixup(FixKind kind, uint32_t label, unsigned bytes,
+               VirtAddr origin);
+    uint32_t resolve(const LabelRef &l);
+    const LabelSlot &slot(uint32_t id) const;
+    VirtAddr placedAddr(uint32_t id) const;
+    std::string labelName(uint32_t id) const;
     void emitOperand(const Operand &op, const OperandDef &def);
-    void putBytes(uint64_t v, unsigned n);
 
     VirtAddr base_;
     InstrHook instrHook_;
     std::vector<uint8_t> image_;
-    std::map<std::string, VirtAddr> labels_;
+    std::vector<LabelSlot> labels_;                  ///< by label id
+    std::unordered_map<std::string, uint32_t> ids_; ///< named labels
     std::vector<Fixup> fixups_;
     bool finished_ = false;
 };

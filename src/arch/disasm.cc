@@ -1,5 +1,6 @@
 #include "arch/disasm.hh"
 
+#include <cinttypes>
 #include <cstdarg>
 #include <cstdio>
 
@@ -18,12 +19,14 @@ const char *regNames[16] = {
     "R8", "R9", "R10", "R11", "AP", "FP", "SP", "PC",
 };
 
-uint32_t
+/** Little-endian value of the n <= 8 bytes at addr (quad immediates
+ *  carry eight). */
+uint64_t
 readN(VirtAddr addr, unsigned n, const ByteReader &read)
 {
-    uint32_t v = 0;
+    uint64_t v = 0;
     for (unsigned i = 0; i < n; ++i)
-        v |= static_cast<uint32_t>(read(addr + i)) << (8 * i);
+        v |= static_cast<uint64_t>(read(addr + i)) << (8 * i);
     return v;
 }
 
@@ -50,7 +53,8 @@ renderSpecifier(VirtAddr &addr, DataType type, const ByteReader &read)
     }
     SpecByte sb = decodeSpecByte(b);
     unsigned trail = specTrailingBytes(sb.mode, type);
-    uint32_t extra = trail ? readN(addr, trail, read) : 0;
+    uint64_t wide = trail ? readN(addr, trail, read) : 0;
+    uint32_t extra = static_cast<uint32_t>(wide);
     addr += trail;
 
     std::string body;
@@ -71,7 +75,7 @@ renderSpecifier(VirtAddr &addr, DataType type, const ByteReader &read)
         body = fmt("(%s)+", regNames[sb.reg]);
         break;
       case AddrMode::Immediate:
-        body = fmt("I^#%#x", extra);
+        body = fmt("I^#%#" PRIx64, wide);
         break;
       case AddrMode::AutoIncDef:
         body = fmt("@(%s)+", regNames[sb.reg]);
@@ -127,7 +131,7 @@ disassemble(VirtAddr addr, const ByteReader &read)
         out.text += i == 0 ? " " : ", ";
         if (od.access == Access::Branch) {
             unsigned n = dataTypeBytes(od.type);
-            uint32_t raw = readN(addr, n, read);
+            uint32_t raw = static_cast<uint32_t>(readN(addr, n, read));
             addr += n;
             int32_t d = sext(raw, 8 * n);
             out.text += fmt("%#x", addr + d);

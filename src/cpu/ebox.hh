@@ -444,12 +444,12 @@ class Ebox
 
     struct TrapFrame
     {
-        TrapKind kind;
-        UAddr trapUpc;      ///< microword that trapped
-        UAddr resumeUpc;    ///< where to continue after re-issue
-        bool resumeIsEnd;   ///< resume is an end-of-instruction
-        PendingMemOp op;    ///< op to re-issue (Kind::None: re-run)
-        VirtAddr va;        ///< faulting virtual address
+        TrapKind kind = TrapKind::TbMissD;
+        UAddr trapUpc = 0;        ///< microword that trapped
+        UAddr resumeUpc = 0;      ///< where to continue after re-issue
+        bool resumeIsEnd = false; ///< resume is an end-of-instruction
+        PendingMemOp op;          ///< op to re-issue (Kind::None: re-run)
+        VirtAddr va = 0;          ///< faulting virtual address
     };
 
     void runMicroword();

@@ -2,6 +2,7 @@
 
 #include <sys/mman.h>
 
+#include <cstring>
 #include <new>
 
 #include "support/logging.hh"
@@ -40,11 +41,44 @@ PhysicalMemory::write(PhysAddr pa, uint32_t v, unsigned bytes)
 }
 
 void
-PhysicalMemory::load(PhysAddr pa, const std::vector<uint8_t> &image)
+PhysicalMemory::prefault(PhysAddr pa, size_t n)
 {
-    upc_assert(static_cast<uint64_t>(pa) + image.size() <= size_);
-    for (size_t i = 0; i < image.size(); ++i)
-        data_[pa + i] = image[i];
+    // A bulk store about to write several fresh pages asks the kernel
+    // for them in one call instead of taking a fault on each.  Purely
+    // a speedup: the store itself faults in whatever this leaves out.
+#ifdef MADV_POPULATE_WRITE
+    constexpr uintptr_t page = 4096;
+    if (n < 4 * page)
+        return;
+    uintptr_t lo = reinterpret_cast<uintptr_t>(data_ + pa) & ~(page - 1);
+    uintptr_t hi = (reinterpret_cast<uintptr_t>(data_ + pa + n) + page - 1) &
+        ~(page - 1);
+    madvise(reinterpret_cast<void *>(lo), hi - lo, MADV_POPULATE_WRITE);
+#else
+    (void)pa;
+    (void)n;
+#endif
+}
+
+void
+PhysicalMemory::load(PhysAddr pa, const uint8_t *bytes, size_t n)
+{
+    upc_assert(static_cast<uint64_t>(pa) + n <= size_);
+    if (n == 0)
+        return;
+    prefault(pa, n);
+    std::memcpy(data_ + pa, bytes, n);
+}
+
+void
+PhysicalMemory::writeLongs(PhysAddr pa, const uint32_t *longs, size_t n)
+{
+    upc_assert(static_cast<uint64_t>(pa) + 4 * uint64_t(n) <= size_);
+    prefault(pa, 4 * n);
+    uint8_t *p = data_ + pa;
+    for (size_t i = 0; i < n; ++i, p += 4)
+        for (unsigned b = 0; b < 4; ++b)
+            p[b] = static_cast<uint8_t>(longs[i] >> (8 * b));
 }
 
 } // namespace vax

@@ -6,6 +6,7 @@
 #ifndef UPC780_MEM_PHYS_MEM_HH
 #define UPC780_MEM_PHYS_MEM_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -68,8 +69,17 @@ class PhysicalMemory
     void write(PhysAddr pa, uint32_t v, unsigned bytes);
     /** @} */
 
-    /** Bulk-load an image (used by the OS loader). */
-    void load(PhysAddr pa, const std::vector<uint8_t> &image);
+    /** @{ Bulk stores (the OS loader and its page tables). */
+    /** Copy n bytes in at pa. */
+    void load(PhysAddr pa, const uint8_t *bytes, size_t n);
+    void
+    load(PhysAddr pa, const std::vector<uint8_t> &image)
+    {
+        load(pa, image.data(), image.size());
+    }
+    /** Store n longwords, little-endian, from pa on. */
+    void writeLongs(PhysAddr pa, const uint32_t *longs, size_t n);
+    /** @} */
 
     /** @{ Checkpoint/restore.  Mostly-zero pages compress well, so
      *  the image is stored run-length encoded. */
@@ -78,6 +88,8 @@ class PhysicalMemory
     /** @} */
 
   private:
+    void prefault(PhysAddr pa, size_t n);
+
     uint8_t *data_ = nullptr;
     uint32_t size_;
 };

@@ -48,7 +48,14 @@ VmsLite::addProcess(const UserProgram &prog)
         fatal("process image (%zu bytes) exceeds its P0 region",
               prog.image.size());
     }
-    programs_.push_back(prog);
+    unsigned nproc = numProcesses() + 1;
+    if (arenaBasePa_ + uint64_t(nproc) * arenaStride() >
+        cpu_.mem().config().memBytes) {
+        fatal("VMS-lite: %u processes do not fit in physical memory",
+              nproc);
+    }
+    cpu_.mem().phys().load(processImagePa(nproc - 1), prog.image);
+    procs_.push_back({prog.entry, prog.terminalId});
 }
 
 void
@@ -110,14 +117,19 @@ VmsLite::postDiskCompletion(unsigned process_index)
     postMailbox(process_index, abi::mbxKindDisk, abi::iplDisk);
 }
 
+uint32_t
+VmsLite::arenaStride() const
+{
+    // A process arena: its P0 page table, then its P0 image.
+    return alignUp(4 * cfg_.userP0Pages, pageBytes) +
+        cfg_.userP0Pages * pageBytes;
+}
+
 PhysAddr
 VmsLite::processImagePa(unsigned p) const
 {
-    uint32_t ptable_bytes = 4 * cfg_.userP0Pages;
-    uint32_t arena_stride = alignUp(ptable_bytes, pageBytes) +
-        cfg_.userP0Pages * pageBytes;
-    return arenaBasePa_ + p * arena_stride +
-        alignUp(ptable_bytes, pageBytes);
+    return arenaBasePa_ + p * arenaStride() +
+        alignUp(4 * cfg_.userP0Pages, pageBytes);
 }
 
 void
@@ -125,7 +137,7 @@ VmsLite::boot()
 {
     upc_assert(!booted_);
     booted_ = true;
-    if (programs_.empty())
+    if (procs_.empty())
         fatal("VMS-lite: no processes registered before boot");
 
     TRACE(Os, "boot: %u processes, quantum=%u ticks",
@@ -173,57 +185,43 @@ VmsLite::buildTables()
     uint32_t spt_entries = cpu_.mem().config().memBytes / pageBytes;
     if (sptPa_ + 4 * spt_entries > kstackBasePa_)
         fatal("VMS-lite: system page table overflows its region");
+    std::vector<uint32_t> ptes(spt_entries);
     for (uint32_t i = 0; i < spt_entries; ++i)
-        phys.write(sptPa_ + 4 * i, pte::make(i, false, false), 4);
+        ptes[i] = pte::make(i, false, false);
+    phys.writeLongs(sptPa_, ptes.data(), ptes.size());
 
     // Kernel stacks.
     uint32_t kstack_end = kstackBasePa_ + (nproc + 1) * kstackBytes_;
     if (kstack_end > mmioPa_)
         fatal("VMS-lite: too many processes for the kernel stacks");
 
-    // Per-process arenas: P0 page table followed by the P0 image.
-    uint32_t ptable_bytes = 4 * cfg_.userP0Pages;
-    uint32_t arena_stride =
-        alignUp(ptable_bytes, pageBytes) +
-        cfg_.userP0Pages * pageBytes;
-    if (arenaBasePa_ + nproc * arena_stride >
-        cpu_.mem().config().memBytes) {
-        fatal("VMS-lite: %u processes do not fit in physical memory",
-              nproc);
-    }
-
+    // Per-process arenas (addProcess loaded the images): the P0 page
+    // table maps the image pages user read/write.
+    ptes.resize(cfg_.userP0Pages);
     for (unsigned p = 0; p < nproc; ++p) {
-        PhysAddr arena = arenaBasePa_ + p * arena_stride;
-        PhysAddr ptable = arena;
-        PhysAddr image = arena + alignUp(ptable_bytes, pageBytes);
-        // P0 PTEs: user read/write.
-        for (uint32_t j = 0; j < cfg_.userP0Pages; ++j) {
-            uint32_t pfn = (image >> pageShift) + j;
-            phys.write(ptable + 4 * j, pte::make(pfn, true, true), 4);
-        }
-        phys.load(image, programs_[p].image);
+        PhysAddr ptable = arenaBasePa_ + p * arenaStride();
+        uint32_t pfn = processImagePa(p) >> pageShift;
+        for (uint32_t j = 0; j < cfg_.userP0Pages; ++j)
+            ptes[j] = pte::make(pfn + j, true, true);
+        phys.writeLongs(ptable, ptes.data(), ptes.size());
 
-        // PCB.
-        PhysAddr pcb = pcbBasePa_ + p * pcbStride;
-        for (uint32_t off = 0; off < pcbStride; off += 4)
-            phys.write(pcb + off, 0, 4);
-        phys.write(pcb + pcbKsp,
-                   sysva(kstackBasePa_ + (p + 1) * kstackBytes_), 4);
-        phys.write(pcb + pcbUsp,
-                   cfg_.userP0Pages * pageBytes, 4); // top of P0
-        phys.write(pcb + pcbPc, programs_[p].entry, 4);
-        phys.write(pcb + pcbPsl, userPslPacked, 4);
-        phys.write(pcb + pcbP0br, sysva(ptable), 4);
-        phys.write(pcb + pcbP0lr, cfg_.userP0Pages, 4);
+        uint32_t pcb[pcbStride / 4] = {};
+        pcb[pcbKsp / 4] = sysva(kstackBasePa_ + (p + 1) * kstackBytes_);
+        pcb[pcbUsp / 4] = cfg_.userP0Pages * pageBytes; // top of P0
+        pcb[pcbPc / 4] = procs_[p].entry;
+        pcb[pcbPsl / 4] = userPslPacked;
+        pcb[pcbP0br / 4] = sysva(ptable);
+        pcb[pcbP0lr / 4] = cfg_.userP0Pages;
+        phys.writeLongs(pcbBasePa_ + p * pcbStride, pcb, pcbStride / 4);
     }
 
-    // Null process PCB (kernel mode, no P0).
-    PhysAddr null_pcb = pcbBasePa_ + nproc * pcbStride;
-    for (uint32_t off = 0; off < pcbStride; off += 4)
-        phys.write(null_pcb + off, 0, 4);
-    phys.write(null_pcb + pcbKsp,
-               sysva(kstackBasePa_ + (nproc + 1) * kstackBytes_), 4);
-    // PC and PSL are patched in buildKernel once the label is known.
+    // Null process PCB (kernel mode, no P0).  PC and PSL are patched
+    // in buildKernel once the label is known.
+    uint32_t null_pcb[pcbStride / 4] = {};
+    null_pcb[pcbKsp / 4] =
+        sysva(kstackBasePa_ + (nproc + 1) * kstackBytes_);
+    phys.writeLongs(pcbBasePa_ + nproc * pcbStride, null_pcb,
+                    pcbStride / 4);
 }
 
 void
@@ -459,8 +457,8 @@ VmsLite::buildKernel()
         a.lword(0); // queue blink
         a.lword(pcbBasePa_ + p * pcbStride);
         a.lword(abi::stateRunnable);
-        a.lword(programs_[p].terminalId);
-        a.lword(programs_[p].entry);
+        a.lword(procs_[p].terminalId);
+        a.lword(procs_[p].entry);
         a.lword(0);
         a.lword(0);
     }
@@ -535,7 +533,7 @@ VmsLite::save(snap::Serializer &s) const
     s.putU32(cfg_.quantumTicks);
     s.putU32(cfg_.timerIntervalCycles);
     s.putU32(cfg_.userP0Pages);
-    s.putU32(static_cast<uint32_t>(programs_.size()));
+    s.putU32(static_cast<uint32_t>(procs_.size()));
     s.putU32(kernelPa_);
     s.putU32(kernelVa_);
     s.putU32(bootVa_);
@@ -558,7 +556,7 @@ VmsLite::restore(snap::Deserializer &d)
     d.expectU32(cfg_.quantumTicks, "scheduler quantum");
     d.expectU32(cfg_.timerIntervalCycles, "timer interval");
     d.expectU32(cfg_.userP0Pages, "user P0 pages");
-    d.expectU32(static_cast<uint32_t>(programs_.size()),
+    d.expectU32(static_cast<uint32_t>(procs_.size()),
                 "process count");
     d.expectU32(kernelPa_, "kernel PA");
     d.expectU32(kernelVa_, "kernel VA");

@@ -49,7 +49,12 @@ class VmsLite
     VmsLite(Cpu780 &cpu, UpcMonitor &monitor,
             const VmsConfig &cfg = VmsConfig());
 
-    /** Register a process before boot. */
+    /**
+     * Register a process before boot.  Its image is copied straight
+     * into the process's arena in guest memory, so the caller's copy
+     * can be released at once.  Fatal if the image overflows its P0
+     * region or the arena does not fit in physical memory.
+     */
     void addProcess(const UserProgram &prog);
 
     /**
@@ -97,7 +102,7 @@ class VmsLite
 
     unsigned numProcesses() const
     {
-        return static_cast<unsigned>(programs_.size());
+        return static_cast<unsigned>(procs_.size());
     }
 
     /** Physical address of process p's P0 image (for host checks). */
@@ -113,6 +118,14 @@ class VmsLite
     /** @} */
 
   private:
+    /** What the kernel's process table needs of a loaded program. */
+    struct Process
+    {
+        VirtAddr entry;
+        unsigned terminalId;
+    };
+
+    uint32_t arenaStride() const;
     void buildKernel();
     void buildTables();
     void postMailbox(uint32_t id, uint32_t kind, unsigned ipl);
@@ -120,7 +133,7 @@ class VmsLite
     Cpu780 &cpu_;
     UpcMonitor &monitor_;
     VmsConfig cfg_;
-    std::vector<UserProgram> programs_;
+    std::vector<Process> procs_;
     std::function<void(uint32_t)> outputFn_;
     std::function<void(uint32_t)> diskFn_;
     bool booted_ = false;

@@ -24,25 +24,11 @@ CodeGenerator::CodeGenerator(const WorkloadProfile &profile,
 {
 }
 
-std::string
-CodeGenerator::uniq(const char *stem)
-{
-    return std::string(stem) + "_" + std::to_string(label_++);
-}
-
-uint32_t
-CodeGenerator::dataAddr(const std::string &label)
-{
-    // Data is emitted before code, so addresses are already bound.
-    return a_.addrOf(label);
-}
-
 Operand
-CodeGenerator::dataOperand(const std::string &label)
+CodeGenerator::dataOperand(uint32_t addr)
 {
     // Address a data object either off the hot base register or with
     // absolute mode, both range-free.
-    uint32_t addr = dataAddr(label);
     if (rng_.chance(0.5))
         return Operand::disp(
             static_cast<int32_t>(addr - hotVa_), R8);
@@ -299,7 +285,7 @@ CodeGenerator::emitBoolean()
 void
 CodeGenerator::emitCondBranch()
 {
-    std::string skip = uniq("skip");
+    Label skip = a_.newLabel();
     if (rng_.chance(0.02)) {
         // Rare JMP over the fallthrough path.
         a_.instr(op::JMP, {Operand::rel(skip)});
@@ -367,7 +353,7 @@ CodeGenerator::emitLoopBody(unsigned n)
           case 7:
           case 8: {
             // In-loop conditional branch over a short then-part.
-            std::string skip = uniq("ls");
+            Label skip = a_.newLabel();
             if (rng_.chance(0.13)) {
                 // Unconditional BRB through the shared BCOND flow.
                 a_.instr(op::BRB, {Operand::branch(skip)});
@@ -401,8 +387,7 @@ CodeGenerator::emitLoopBody(unsigned n)
             if (rng_.chance(0.55)) {
                 // Call a leaf subroutine (R10-safe).
                 a_.instr(op::BSBW,
-                         {Operand::branch(
-                             "leaf_" + std::to_string(rng_.below(3)))});
+                         {Operand::branch(leaf_[rng_.below(3)])});
             } else {
                 emitLoopFlavor();
             }
@@ -447,10 +432,8 @@ CodeGenerator::emitLoopFlavor()
       }
       case 2: {
         a_.instr(op::MOVAB,
-                 {dataOperand("qent_" + std::to_string(rng_.below(6))),
-                  Operand::reg(R1)});
-        int32_t qoff =
-            static_cast<int32_t>(dataAddr("qhdr") - hotVa_);
+                 {dataOperand(qentVa_[rng_.below(6)]), Operand::reg(R1)});
+        int32_t qoff = static_cast<int32_t>(qhdrVa_ - hotVa_);
         a_.instr(op::INSQUE,
                  {Operand::regDef(R1), Operand::disp(qoff, R8)});
         a_.instr(op::REMQUE,
@@ -459,7 +442,7 @@ CodeGenerator::emitLoopFlavor()
       }
       case 3:
         a_.instr(op::LOCC, {Operand::lit(32), Operand::imm(24),
-                            dataOperand("str_a")});
+                            dataOperand(strVa_[0])});
         break;
       default:
         a_.instr(op::MOVL, {memOperand(DataType::Long, false),
@@ -471,7 +454,7 @@ CodeGenerator::emitLoopFlavor()
 void
 CodeGenerator::emitLoop()
 {
-    std::string top = uniq("loop");
+    Label top = a_.newLabel();
     uint32_t trips = rng_.geometric(prof_.loopMean);
     if (trips > 200)
         trips = 200;
@@ -522,11 +505,10 @@ CodeGenerator::emitSubroutineCall()
         : rng_.below(prof_.numSubroutines);
     if (target >= prof_.numSubroutines)
         return;
-    std::string name = "sub_" + std::to_string(target);
     if (rng_.chance(0.25)) {
-        a_.instr(op::JSB, {Operand::rel(name)});
+        a_.instr(op::JSB, {Operand::rel(sub_[target])});
     } else {
-        a_.instr(op::BSBW, {Operand::branch(name)});
+        a_.instr(op::BSBW, {Operand::branch(sub_[target])});
     }
 }
 
@@ -555,7 +537,7 @@ CodeGenerator::emitProcCall()
     for (unsigned i = 0; i < nargs; ++i)
         a_.instr(op::PUSHL, {readOperand(DataType::Long)});
     a_.instr(op::CALLS, {Operand::lit(static_cast<uint8_t>(nargs)),
-                         Operand::rel("proc_" + std::to_string(target))});
+                         Operand::rel(proc_[target])});
 }
 
 void
@@ -591,7 +573,7 @@ CodeGenerator::emitField()
     }
     // Bit branches.
     if (rng_.chance(0.85)) {
-        std::string skip = uniq("bb");
+        Label skip = a_.newLabel();
         uint8_t bit = static_cast<uint8_t>(rng_.below(28));
         static const uint8_t bbs[] = {op::BBS, op::BBC, op::BBSS,
                                       op::BBCC, op::BBCS, op::BBSC};
@@ -677,17 +659,15 @@ CodeGenerator::emitCharacter()
         len = 8;
     if (len > 64)
         len = 64;
-    static const char *bufs[] = {"str_a", "str_b", "str_c"};
-    const char *src = bufs[rng_.below(3)];
-    const char *dst = bufs[rng_.below(3)];
+    uint32_t src = strVa_[rng_.below(3)];
+    uint32_t dst = strVa_[rng_.below(3)];
     // Some strings are unaligned (substrings), forcing the byte loop.
     uint32_t skew = rng_.chance(0.45) ? 1 + rng_.below(3) : 0;
     switch (rng_.below(4)) {
       case 0:
         a_.instr(op::MOVC3,
                  {Operand::imm(len),
-                  Operand::disp(static_cast<int32_t>(
-                                    dataAddr(src) - hotVa_ + skew),
+                  Operand::disp(static_cast<int32_t>(src - hotVa_ + skew),
                                 R8),
                   dataOperand(dst)});
         break;
@@ -702,7 +682,7 @@ CodeGenerator::emitCharacter()
         break;
       case 3:
         a_.instr(op::SCANC, {Operand::imm(len), dataOperand(src),
-                             dataOperand("char_tab"),
+                             dataOperand(charTabVa_),
                              Operand::lit(1)});
         break;
     }
@@ -712,8 +692,8 @@ void
 CodeGenerator::emitDecimal()
 {
     unsigned digits = prof_.decDigitsMean;
-    std::string s0 = "pk_" + std::to_string(rng_.below(6));
-    std::string s1 = "pk_" + std::to_string(rng_.below(6));
+    uint32_t s0 = pkVa_[rng_.below(6)];
+    uint32_t s1 = pkVa_[rng_.below(6)];
     switch (rng_.below(4)) {
       case 0:
         a_.instr(rng_.chance(0.6) ? op::ADDP4 : op::SUBP4,
@@ -738,8 +718,8 @@ CodeGenerator::emitDecimal()
 void
 CodeGenerator::emitCase()
 {
-    std::string c0 = uniq("cs"), c1 = uniq("cs"), c2 = uniq("cs");
-    std::string c3 = uniq("cs"), end = uniq("csend");
+    Label c0 = a_.newLabel(), c1 = a_.newLabel(), c2 = a_.newLabel();
+    Label c3 = a_.newLabel(), end = a_.newLabel();
     a_.instr(op::MOVL, {memOperand(DataType::Long, false),
                         Operand::reg(R7)});
     a_.instr(op::BICL3, {Operand::imm(~3u), Operand::reg(R7),
@@ -765,10 +745,8 @@ void
 CodeGenerator::emitQueue()
 {
     uint32_t ent = rng_.below(6);
-    a_.instr(op::MOVAB,
-             {dataOperand("qent_" + std::to_string(ent)),
-              Operand::reg(R1)});
-    int32_t qoff = static_cast<int32_t>(dataAddr("qhdr") - hotVa_);
+    a_.instr(op::MOVAB, {dataOperand(qentVa_[ent]), Operand::reg(R1)});
+    int32_t qoff = static_cast<int32_t>(qhdrVa_ - hotVa_);
     a_.instr(op::INSQUE,
              {Operand::regDef(R1), Operand::disp(qoff, R8)});
     a_.instr(op::REMQUE,
@@ -790,12 +768,12 @@ CodeGenerator::emitSyscall()
         a_.instr(op::CHMK, {Operand::lit(abi::sysGetTime)});
         break;
       case 1:
-        a_.instr(op::MOVAB, {dataOperand("io_buf"), Operand::reg(R1)});
+        a_.instr(op::MOVAB, {dataOperand(ioBufVa_), Operand::reg(R1)});
         a_.instr(op::MOVL, {Operand::lit(32), Operand::reg(R2)});
         a_.instr(op::CHMK, {Operand::lit(abi::sysPuts)});
         break;
       case 2:
-        a_.instr(op::MOVAB, {dataOperand("io_buf"), Operand::reg(R1)});
+        a_.instr(op::MOVAB, {dataOperand(ioBufVa_), Operand::reg(R1)});
         a_.instr(op::CHMK, {Operand::lit(abi::sysGets)});
         break;
     }
@@ -846,7 +824,7 @@ CodeGenerator::emitSubroutines()
     // Leaf subroutines callable from loop bodies: straight-line code,
     // no loops, no calls, and no use of the loop counter.
     for (unsigned i = 0; i < 3; ++i) {
-        a_.label("leaf_" + std::to_string(i));
+        a_.label(leaf_[i]);
         unsigned n = 2 + rng_.below(4);
         for (unsigned k = 0; k < n; ++k) {
             switch (rng_.below(3)) {
@@ -868,7 +846,7 @@ CodeGenerator::emitSubroutines()
     }
 
     for (unsigned i = 0; i < prof_.numSubroutines; ++i) {
-        a_.label("sub_" + std::to_string(i));
+        a_.label(sub_[i]);
         inSub_ = true;
         curSub_ = i;
         unsigned blocks = 2 + rng_.below(3);
@@ -890,7 +868,7 @@ CodeGenerator::emitProcedures()
 {
     for (unsigned i = 0; i < prof_.numProcedures; ++i) {
         a_.align(2);
-        a_.label("proc_" + std::to_string(i));
+        a_.label(proc_[i]);
         // Entry mask: R6, R7, R10, R11 plus a couple of extras.
         uint16_t mask = (1u << 6) | (1u << 7) | (1u << 10) | (1u << 11);
         unsigned extras = rng_.below(3);
@@ -917,52 +895,45 @@ CodeGenerator::emitDataRegions()
 {
     a_.lword(0); // keep P0 address 0 unused
     a_.align(4);
-    a_.label("hot");
     hotVa_ = a_.here();
-    for (unsigned i = 0; i < prof_.hotLongs; ++i)
-        a_.lword(static_cast<uint32_t>(rng_.next()));
+    rng_.fillLongs(a_.extend(4 * prof_.hotLongs), prof_.hotLongs);
 
     // The F_floating pool sits inside the hot region's addressing
     // reach via R8 displacements.
-    a_.label("fdat");
     fdatOff_ = a_.here() - hotVa_;
     for (unsigned i = 0; i < 16; ++i)
         a_.lword(doubleToF((rng_.uniform() - 0.5) * 1000.0));
 
     // Pointer table for deferred modes (points into the hot region).
-    a_.label("ptrtab");
     ptrtabOff_ = a_.here() - hotVa_;
     for (unsigned i = 0; i < 16; ++i)
         a_.lword(hotVa_ + 4 * rng_.below(prof_.hotLongs));
 
     // Queue header and entries.
-    a_.label("qhdr");
-    uint32_t qhdr = a_.here();
-    a_.lword(qhdr);
-    a_.lword(qhdr);
-    for (unsigned i = 0; i < 6; ++i) {
-        a_.label("qent_" + std::to_string(i));
-        a_.lword(0);
-        a_.lword(0);
+    qhdrVa_ = a_.here();
+    a_.lword(qhdrVa_);
+    a_.lword(qhdrVa_);
+    for (uint32_t &ent : qentVa_) {
+        ent = a_.here();
+        a_.space(8);
     }
 
     // Strings and scan table.
-    static const char *names[] = {"str_a", "str_b", "str_c"};
-    for (const char *n : names) {
+    for (uint32_t &str : strVa_) {
         a_.align(4);
-        a_.label(n);
+        str = a_.here();
         for (unsigned i = 0; i < 64; ++i)
             a_.byte(static_cast<uint8_t>(0x20 + rng_.below(0x5F)));
     }
     a_.align(4);
-    a_.label("char_tab");
+    charTabVa_ = a_.here();
     for (unsigned i = 0; i < 256; ++i)
         a_.byte(rng_.chance(0.05) ? 1 : 0);
 
     // Packed-decimal slots.
     a_.align(4);
-    for (unsigned i = 0; i < 6; ++i) {
-        a_.label("pk_" + std::to_string(i));
+    for (uint32_t &pk : pkVa_) {
+        pk = a_.here();
         auto bytes = intToPacked(
             static_cast<int64_t>(rng_.next() % 1000000000ULL),
             prof_.decDigitsMean);
@@ -972,14 +943,13 @@ CodeGenerator::emitDataRegions()
     }
 
     a_.align(4);
-    a_.label("io_buf");
+    ioBufVa_ = a_.here();
     a_.space(64, ' ');
 
     // The cold region comes last (it is big).
     a_.align(4);
-    a_.label("cold");
-    for (unsigned i = 0; i < prof_.coldLongs; ++i)
-        a_.lword(static_cast<uint32_t>(rng_.next()));
+    coldVa_ = a_.here();
+    rng_.fillLongs(a_.extend(4 * prof_.coldLongs), prof_.coldLongs);
 }
 
 UserProgram
@@ -987,32 +957,43 @@ CodeGenerator::generate(unsigned terminal_id)
 {
     // Layout: all data first (so every address is known while code is
     // emitted), then the main loop, subroutines and procedures.  The
-    // OS starts the process at `entry` directly.
+    // OS starts the process at `entry` directly.  The data regions
+    // are most of the image: reserve them and room for the code, so
+    // a typical image is never regrown and copied.
+    a_.reserve(4 * (prof_.hotLongs + prof_.coldLongs) + 16384);
     emitDataRegions();
+    for (Label &l : leaf_)
+        l = a_.newLabel();
+    sub_.resize(prof_.numSubroutines);
+    for (Label &l : sub_)
+        l = a_.newLabel();
+    proc_.resize(prof_.numProcedures);
+    for (Label &l : proc_)
+        l = a_.newLabel();
 
-    a_.label("entry");
-    a_.instr(op::MOVL, {Operand::imm(dataAddr("hot")),
-                        Operand::reg(R8)});
-    a_.instr(op::MOVL, {Operand::imm(dataAddr("cold")),
-                        Operand::reg(R9)});
+    UserProgram prog;
+    prog.entry = a_.here();
+    prog.terminalId = terminal_id;
+    a_.instr(op::MOVL, {Operand::imm(hotVa_), Operand::reg(R8)});
+    a_.instr(op::MOVL, {Operand::imm(coldVa_), Operand::reg(R9)});
     a_.instr(op::CLRL, {Operand::reg(R6)});
     a_.instr(op::MOVL,
              {Operand::imm(static_cast<uint32_t>(rng_.next())),
               Operand::reg(R7)});
-    a_.label("outer");
+    Label outer = a_.newLabel(), outer_w = a_.newLabel();
+    a_.label(outer);
     // Slide the cold window; wrap at the end of the region.
     a_.instr(op::ADDL2,
              {Operand::imm(prof_.coldWindowLongs * 4),
               Operand::reg(R9)});
     a_.instr(op::CMPL,
              {Operand::reg(R9),
-              Operand::imm(dataAddr("cold") +
+              Operand::imm(coldVa_ +
                            (prof_.coldLongs - prof_.coldWindowLongs) *
                                4)});
-    a_.instr(op::BCS, {Operand::branch("outer_w")});
-    a_.instr(op::MOVL, {Operand::imm(dataAddr("cold")),
-                        Operand::reg(R9)});
-    a_.label("outer_w");
+    a_.instr(op::BCS, {Operand::branch(outer_w)});
+    a_.instr(op::MOVL, {Operand::imm(coldVa_), Operand::reg(R9)});
+    a_.label(outer_w);
     a_.instr(op::BICL3, {Operand::imm(~7u), Operand::reg(R7),
                          Operand::reg(R11)});
     for (unsigned b = 0; b < prof_.blocksPerIteration; ++b) {
@@ -1026,24 +1007,21 @@ CodeGenerator::generate(unsigned terminal_id)
         }
     }
     if (rng_.chance(prof_.getsProb)) {
-        a_.instr(op::MOVAB, {dataOperand("io_buf"), Operand::reg(R1)});
+        a_.instr(op::MOVAB, {dataOperand(ioBufVa_), Operand::reg(R1)});
         a_.instr(op::CHMK, {Operand::lit(abi::sysGets)});
     }
     if (rng_.chance(prof_.putsProb)) {
-        a_.instr(op::MOVAB, {dataOperand("io_buf"), Operand::reg(R1)});
+        a_.instr(op::MOVAB, {dataOperand(ioBufVa_), Operand::reg(R1)});
         a_.instr(op::MOVL, {Operand::lit(32), Operand::reg(R2)});
         a_.instr(op::CHMK, {Operand::lit(abi::sysPuts)});
     }
     if (rng_.chance(prof_.waitProb))
         a_.instr(op::CHMK, {Operand::lit(abi::sysWaitTerm)});
-    a_.instr(op::BRW, {Operand::branch("outer")});
+    a_.instr(op::BRW, {Operand::branch(outer)});
 
     emitSubroutines();
     emitProcedures();
 
-    UserProgram prog;
-    prog.entry = a_.addrOf("entry");
-    prog.terminalId = terminal_id;
     prog.image = a_.finish();
     return prog;
 }

@@ -19,7 +19,7 @@
 #ifndef UPC780_WORKLOAD_CODEGEN_HH
 #define UPC780_WORKLOAD_CODEGEN_HH
 
-#include <string>
+#include <vector>
 
 #include "arch/assembler.hh"
 #include "os/vms.hh"
@@ -74,17 +74,29 @@ class CodeGenerator
     void emitSubroutines();
     void emitProcedures();
 
-    std::string uniq(const char *stem);
-    uint32_t dataAddr(const std::string &label);
-    Operand dataOperand(const std::string &label);
+    Operand dataOperand(uint32_t addr);
 
     const WorkloadProfile &prof_;
     Rng rng_;
+    Assembler a_{0};
+
+    // Data objects, addressed as they are emitted (data precedes code).
     uint32_t hotVa_ = 0;     ///< VA of the hot region
+    uint32_t coldVa_ = 0;    ///< VA of the cold region
     uint32_t fdatOff_ = 0;   ///< offset of the float pool off R8
     uint32_t ptrtabOff_ = 0; ///< offset of the pointer table off R8
-    Assembler a_{0};
-    unsigned label_ = 0;
+    uint32_t qhdrVa_ = 0;
+    uint32_t qentVa_[6] = {};
+    uint32_t strVa_[3] = {};
+    uint32_t charTabVa_ = 0;
+    uint32_t pkVa_[6] = {};
+    uint32_t ioBufVa_ = 0;
+
+    // Code labels that calls reach before their targets are emitted.
+    Label leaf_[3];
+    std::vector<Label> sub_;
+    std::vector<Label> proc_;
+
     unsigned curSub_ = 0;    ///< index while emitting subroutines
     bool inSub_ = false;
     BlockKind lastKind_ = BlockKind::NumKinds;

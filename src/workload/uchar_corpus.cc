@@ -216,7 +216,7 @@ struct Builder
     }
 
     void
-    recordInstr(const OpcodeInfo &ii, const std::vector<Operand> &ops)
+    recordInstr(const OpcodeInfo &ii, std::span<const Operand> ops)
     {
         if (hookMult == 0)
             return;
@@ -659,7 +659,7 @@ struct Builder
 
         const uint64_t iters = p.iters;
         a.setInstrHook([this](const OpcodeInfo &ii,
-                              const std::vector<Operand> &ops) {
+                              std::span<const Operand> ops) {
             recordInstr(ii, ops);
         });
 
@@ -690,6 +690,7 @@ struct Builder
             a.instr(op::RSB);
         }
         prog.image = a.finish();
+        prog.image.shrink_to_fit(); // the suite keeps all 2171 images
         prog.targetOffsets = offsets;
         prog.profile = std::move(profile);
         addPokes(prog);

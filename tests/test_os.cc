@@ -130,6 +130,45 @@ TEST(VmsLite, TerminalWaitAndWake)
     EXPECT_GT(c_after, c_before);
 }
 
+TEST(VmsLite, AddProcessLoadsTheImageAtOnce)
+{
+    // The image goes straight into its arena in guest memory, so the
+    // caller's copy can be dropped before boot.
+    Cpu780 cpu;
+    UpcMonitor monitor;
+    cpu.setCycleSink(&monitor);
+    VmsLite os(cpu, monitor);
+    std::vector<uint8_t> image;
+    {
+        UserProgram prog = makeUserProgram(3, false);
+        image = prog.image;
+        os.addProcess(prog);
+    }
+    for (size_t i = 0; i < image.size(); ++i)
+        ASSERT_EQ(cpu.mem().phys().readByte(os.processImagePa(0) + i),
+                  image[i])
+            << "image byte " << i;
+    os.boot();
+    cpu.run(100000);
+    EXPECT_GT(cpu.mem().phys().read(os.processImagePa(0) + 4, 4), 0u);
+}
+
+TEST(VmsLite, ProcessesBeyondPhysicalMemoryAreFatal)
+{
+    // In 2 MB, seven 129 KB process arenas fit above the 1 MB kernel
+    // region.  The eighth addProcess fails at once, before boot.
+    SimConfig sim;
+    sim.mem.memBytes = 2u << 20;
+    EXPECT_DEATH({
+        Cpu780 cpu(sim);
+        UpcMonitor monitor;
+        VmsLite os(cpu, monitor);
+        UserProgram prog = makeUserProgram(0, false);
+        for (unsigned p = 0; p < 8; ++p)
+            os.addProcess(prog);
+    }, "VMS-lite: 8 processes do not fit in physical memory");
+}
+
 TEST(VmsLite, HistogramSeesOsEvents)
 {
     Cpu780 cpu;

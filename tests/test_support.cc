@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "support/bitutil.hh"
 #include "support/random.hh"
 #include "support/table.hh"
@@ -126,6 +128,28 @@ TEST(Rng, PickWeightedRespectsZeros)
     for (int i = 0; i < 500; ++i) {
         size_t pick = r.pickWeighted({0.0, 1.0, 0.0});
         EXPECT_EQ(pick, 1u);
+    }
+}
+
+TEST(Rng, FillLongsMatchesSerialDraws)
+{
+    // Long fills run four jumped-ahead quarters of the stream side by
+    // side; the bytes and the final state must be exactly the serial
+    // ones, at lengths that do and do not split into lanes evenly.
+    for (size_t n : {0, 1, 255, 256, 257, 1023, 14336, 100003}) {
+        Rng bulk(31 + n), serial(31 + n);
+        std::vector<uint8_t> got(4 * n + 1, 0xEE);
+        bulk.fillLongs(got.data(), n);
+        for (size_t i = 0; i < n; ++i) {
+            uint32_t v = static_cast<uint32_t>(serial.next());
+            ASSERT_EQ(got[4 * i] | got[4 * i + 1] << 8 |
+                          got[4 * i + 2] << 16 |
+                          uint32_t(got[4 * i + 3]) << 24,
+                      v)
+                << "n=" << n << " i=" << i;
+        }
+        EXPECT_EQ(got[4 * n], 0xEE) << "n=" << n; // nothing past the end
+        EXPECT_EQ(bulk.state(), serial.state()) << "n=" << n;
     }
 }
 
