@@ -1,15 +1,12 @@
 /**
  * @file
- * google-benchmark microbenchmarks of the simulator itself: raw
- * machine-cycle throughput in several regimes, histogram analysis
- * cost, workload generation cost, and the five-workload composite in
- * both serial and SimPool-parallel form.
+ * google-benchmark microbenchmarks of the simulator's layers: raw
+ * machine-cycle throughput in several regimes, microcode ROM build
+ * cost, workload generation cost, and histogram analysis cost.  The
+ * end-to-end number -- a whole cold characterization -- is perfbench's
+ * (perfbench/README.md), not this file's.
  *
- * Usage: simspeed [--jobs N] [google-benchmark flags]
- *   --jobs (or UPC780_JOBS) sets the pool worker count for the
- *   BM_CompositePool benchmark; default is one per hardware core.
- *   UPC780_CYCLES sets the composite's cycles per experiment
- *   (default 250000 here, to keep iterations short).
+ * Usage: simspeed [google-benchmark flags]
  *
  * Machine-readable output: pass the standard google-benchmark flags
  *   --benchmark_out=FILE.json --benchmark_out_format=json
@@ -22,7 +19,6 @@
 #include <benchmark/benchmark.h>
 
 #include "arch/assembler.hh"
-#include "driver/sim_pool.hh"
 #include "ucode/rom.hh"
 #include "cpu/cpu.hh"
 #include "upc/analyzer.hh"
@@ -34,9 +30,6 @@ namespace
 {
 
 using namespace vax;
-
-/** Pool worker count from --jobs / UPC780_JOBS (0 = all cores). */
-unsigned g_jobs = 0;
 
 /** Tight register-only loop: peak interpreter speed. */
 void
@@ -88,31 +81,6 @@ BM_CycleThroughputMemory(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CycleThroughputMemory);
-
-/** Legacy type-erased dispatch, for in-file before/after A-B runs. */
-void
-BM_CycleThroughputLegacy(benchmark::State &state)
-{
-    SimConfig cfg;
-    cfg.legacyDispatch = true;
-    Cpu780 cpu(cfg);
-    cpu.mem().setMapEnable(false);
-    Assembler a(0x1000);
-    a.label("loop");
-    for (int i = 0; i < 16; ++i)
-        a.instr(op::ADDL2, {Operand::lit(1), Operand::reg(R1)});
-    a.instr(op::BRW, {Operand::branch("loop")});
-    cpu.mem().phys().load(a.base(), a.finish());
-    cpu.reset(a.base());
-    cpu.ebox().setGpr(SP, 0x8000);
-
-    for (auto _ : state) {
-        cpu.tick();
-        benchmark::DoNotOptimize(cpu.cycles());
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_CycleThroughputLegacy);
 
 /**
  * Cycle cost with the UPC monitor attached (should be ~free).  The
@@ -202,72 +170,6 @@ BM_HistogramAnalysis(benchmark::State &state)
 }
 BENCHMARK(BM_HistogramAnalysis);
 
-/**
- * The five-workload composite (the Table 8 scenario) on a SimPool.
- * Items processed = simulated machine cycles, so items/s is the
- * aggregate simulation rate; per-job wall-clock and simulated
- * cycles-per-second are reported as counters (job0..job4, in
- * allProfiles() order).
- */
-void
-compositeBench(benchmark::State &state, unsigned workers)
-{
-    uint64_t cycles = benchCycles(250'000);
-    SimPool pool(workers);
-    std::vector<SimJob> jobs = compositeJobs(cycles);
-    uint64_t total_sim_cycles = 0;
-    std::vector<ExperimentResult> last;
-    for (auto _ : state) {
-        last = pool.run(jobs);
-        // Sum the cycles each experiment actually retired.  The old
-        // `cycles * jobs.size()` assumed every job stops exactly on
-        // its budget, but a job can halt early or overshoot to an
-        // instruction boundary, so the assumption miscounts the
-        // aggregate rate.
-        for (const ExperimentResult &r : last)
-            total_sim_cycles += r.hw.counters.cycles;
-    }
-    state.SetItemsProcessed(
-        static_cast<int64_t>(total_sim_cycles));
-    state.counters["workers"] =
-        static_cast<double>(pool.workers());
-    for (size_t i = 0; i < last.size(); ++i) {
-        std::string tag = "job" + std::to_string(i);
-        state.counters[tag + "_wall_s"] = last[i].wallSeconds;
-        // Retired cycles, like the aggregate above: a job may halt
-        // early or overshoot its budget to an instruction boundary.
-        state.counters[tag + "_Msimcyc_per_s"] =
-            last[i].wallSeconds > 0
-                ? static_cast<double>(last[i].hw.counters.cycles) /
-                    last[i].wallSeconds * 1e-6
-                : 0.0;
-    }
-}
-
-void
-BM_CompositeSerial(benchmark::State &state)
-{
-    compositeBench(state, 1);
-}
-BENCHMARK(BM_CompositeSerial)->Unit(benchmark::kMillisecond);
-
-void
-BM_CompositePool(benchmark::State &state)
-{
-    compositeBench(state, g_jobs);
-}
-BENCHMARK(BM_CompositePool)->Unit(benchmark::kMillisecond);
-
 } // anonymous namespace
 
-int
-main(int argc, char **argv)
-{
-    g_jobs = parseJobsFlag(&argc, argv, envJobs());
-    benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv))
-        return 1;
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    return 0;
-}
+BENCHMARK_MAIN();

@@ -91,14 +91,18 @@ main(int argc, char **argv)
     double front = r.an().rowTotal(Row::Decode) +
         r.an().rowTotal(Row::Spec1) + r.an().rowTotal(Row::Spec26) +
         r.an().rowTotal(Row::Bdisp);
+    Row largest = Row::ExecSimple;
+    for (Row row : {Row::ExecField, Row::ExecFloat, Row::ExecCallRet,
+                    Row::ExecSystem, Row::ExecCharacter, Row::ExecDecimal})
+        if (r.an().rowTotal(row) > r.an().rowTotal(largest))
+            largest = row;
     std::printf("Measured: decode+specifier share = %.0f%%; "
                 "SIMPLE execute share = %.0f%%; CALL/RET row = "
-                "largest exec row? %s\n",
+                "largest exec row? %s (largest: %s, %.3f)\n",
                 100.0 * front / r.an().cyclesPerInstruction(),
                 100.0 * r.an().rowTotal(Row::ExecSimple) /
                     r.an().cyclesPerInstruction(),
-                r.an().rowTotal(Row::ExecCallRet) >
-                        r.an().rowTotal(Row::ExecField)
-                    ? "yes" : "no");
+                largest == Row::ExecCallRet ? "yes" : "no",
+                rowName(largest), r.an().rowTotal(largest));
     return 0;
 }

@@ -8,11 +8,11 @@
  * 11/780's control store held 4K-6K 99-bit words; the histogram board
  * had 16K buckets, which bounds our store too.
  *
- * Semantic actions exist in two representations (see DESIGN.md §9):
- * the decoded dispatch table -- a flat array of plain function
- * pointers with per-word operand records packed into an arena, which
- * is what the EBOX executes -- and the legacy std::function copies,
- * kept so the two engines can be verified byte-identical.
+ * Semantic actions are decoded once, at ROM build time, into one flat
+ * dispatch table: a plain function pointer per word plus its operand
+ * record packed into an arena (see DESIGN.md §9).  That table is the
+ * only way a microword runs; COMPOSITE_golden.json pins what it
+ * counts.
  *
  * Micro-branch targets are label ids resolved through the store's
  * label table, so forward references inside a routine are cheap.
@@ -31,7 +31,6 @@
 #include <array>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <initializer_list>
 #include <memory>
 #include <new>
@@ -48,15 +47,6 @@ namespace vax
 {
 
 class Ebox;
-
-/**
- * Semantic action of one microinstruction, type-erased.  This is the
- * *legacy* dispatch representation: the EBOX's decoded fast path calls
- * through DecodedWord instead (below), and the std::function copy is
- * kept so the engines can be A/B-compared for byte-identical
- * histograms (Ebox::setLegacyDispatch, tests/test_dispatch_equiv.cc).
- */
-using USem = std::function<void(Ebox &)>;
 
 /**
  * Decoded dispatch: a plain function pointer plus a pointer to the
@@ -247,12 +237,6 @@ flowReserved()
 }
 /** @} */
 
-struct MicroWord
-{
-    USem sem;
-    UAnnotation ann;
-};
-
 /**
  * Well-known dispatch targets, filled in by the microcode ROM builder
  * and consulted by the EBOX's hardware-decode services.
@@ -335,20 +319,13 @@ class ControlStore
     /** Histogram-board capacity: 16K count locations. */
     static constexpr unsigned capacity = 16384;
 
-    UAddr size() const { return static_cast<UAddr>(words_.size()); }
-
-    const MicroWord &
-    word(UAddr a) const
-    {
-        check(a);
-        return words_[a];
-    }
+    UAddr size() const { return static_cast<UAddr>(anns_.size()); }
 
     const UAnnotation &
     annotation(UAddr a) const
     {
         check(a);
-        return words_[a].ann;
+        return anns_[a];
     }
 
     /** Declared successor set of a microword. */
@@ -416,14 +393,14 @@ class ControlStore
     void
     check(UAddr a) const
     {
-        if (a >= words_.size())
-            badMicroAddress(a, words_.size());
+        if (a >= anns_.size())
+            badMicroAddress(a, anns_.size());
     }
 
     /** Reserve packed, aligned storage in the operand arena. */
     void *semArenaAlloc(size_t size, size_t align);
 
-    std::vector<MicroWord> words_;
+    std::vector<UAnnotation> anns_;
     std::vector<DecodedWord> decoded_;
     std::vector<UFlow> flows_;
     std::vector<int32_t> labels_; ///< -1 = unbound
@@ -433,8 +410,6 @@ class ControlStore
     /** Operand arena: chunked so records never move once placed. */
     std::vector<std::unique_ptr<unsigned char[]>> semChunks_;
     size_t semChunkUsed_ = 0; ///< bytes used in the newest chunk
-    /** Keep-alive for the rare non-trivially-copyable callable. */
-    std::vector<std::shared_ptr<const void>> semBoxed_;
     /** Annotation names composed at ROM time.  A deque never moves
      *  its elements, so the interned c_str() pointers stay valid. */
     std::deque<std::string> names_;
@@ -460,8 +435,8 @@ class MicroAssembler
      * The callable is decoded once, here: its captures are packed into
      * the store's operand arena and a plain trampoline function pointer
      * is recorded in the flat dispatch table, so the per-cycle path is
-     * one indirect call.  A std::function copy of the same callable is
-     * kept as the legacy engine for A/B histogram verification.
+     * one indirect call.  The arena never runs destructors, so the
+     * captures must be plain data.
      */
     template <typename F>
     UAddr
@@ -471,19 +446,13 @@ class MicroAssembler
         static_assert(std::is_invocable_r_v<void, const Fn &, Ebox &>,
                       "microword semantics must be callable as "
                       "void(Ebox &)");
-        const Fn *packed;
-        if constexpr (std::is_trivially_copyable_v<Fn> &&
-                      std::is_trivially_destructible_v<Fn>) {
-            void *slot = cs_.semArenaAlloc(sizeof(Fn), alignof(Fn));
-            packed = ::new (slot) Fn(sem);
-        } else {
-            // Rare: a callable with non-trivial captures cannot live
-            // in the arena; box it and keep it alive with the store.
-            auto box = std::make_shared<Fn>(sem);
-            packed = box.get();
-            cs_.semBoxed_.push_back(std::move(box));
-        }
-        return emitWord(ann, std::move(flow), USem(*packed),
+        static_assert(std::is_trivially_copyable_v<Fn> &&
+                          std::is_trivially_destructible_v<Fn>,
+                      "microword captures must be trivially copyable "
+                      "and destructible: they live in the operand arena");
+        void *slot = cs_.semArenaAlloc(sizeof(Fn), alignof(Fn));
+        const Fn *packed = ::new (slot) Fn(sem);
+        return emitWord(ann, std::move(flow),
                         DecodedWord{&invokeSem<Fn>, packed});
     }
 
@@ -512,7 +481,7 @@ class MicroAssembler
     }
 
     /** Append a fully decoded word (capacity check lives here). */
-    UAddr emitWord(const UAnnotation &ann, UFlow flow, USem sem,
+    UAddr emitWord(const UAnnotation &ann, UFlow flow,
                    DecodedWord decoded);
 
     ControlStore &cs_;

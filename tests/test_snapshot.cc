@@ -261,33 +261,35 @@ TEST(ExperimentSnapshot, ChunkedRunMatchesOneShot)
 
 TEST(ExperimentSnapshot, RestoreRunToEndIsByteIdentical)
 {
-    WorkloadProfile prof = allProfiles()[1];
-    SimConfig sim;
-    sim.seed = prof.seed;
     const uint64_t budget = 80'000;
+    for (const WorkloadProfile &prof : allProfiles()) {
+        SCOPED_TRACE(prof.name);
+        SimConfig sim;
+        sim.seed = prof.seed;
 
-    Experiment uninterrupted(prof, budget, sim, poolVms());
-    uninterrupted.runChunk();
+        Experiment uninterrupted(prof, budget, sim, poolVms());
+        uninterrupted.runChunk();
 
-    // Checkpoint at a pseudo-random mid-run cycle...
-    Experiment first(prof, budget, sim, poolVms());
-    first.runChunk(31'337);
-    ASSERT_FALSE(first.done());
-    snap::Serializer s;
-    first.save(s);
-    std::vector<uint8_t> ckpt = s.finish();
+        // Checkpoint at a pseudo-random mid-run cycle...
+        Experiment first(prof, budget, sim, poolVms());
+        first.runChunk(31'337);
+        ASSERT_FALSE(first.done());
+        snap::Serializer s;
+        first.save(s);
+        std::vector<uint8_t> ckpt = s.finish();
 
-    // ...restore into a *fresh* machine and run to the end.
-    Experiment second(prof, budget, sim, poolVms());
-    snap::Deserializer d(ckpt);
-    second.restore(d);
-    d.finish();
-    EXPECT_EQ(second.cycle(), first.cycle());
-    second.runChunk();
+        // ...restore into a *fresh* machine and run to the end.
+        Experiment second(prof, budget, sim, poolVms());
+        snap::Deserializer d(ckpt);
+        second.restore(d);
+        d.finish();
+        EXPECT_EQ(second.cycle(), first.cycle());
+        second.runChunk();
 
-    EXPECT_EQ(machineBytes(uninterrupted), machineBytes(second));
-    EXPECT_EQ(resultBytes(uninterrupted.takeResult()),
-              resultBytes(second.takeResult()));
+        EXPECT_EQ(machineBytes(uninterrupted), machineBytes(second));
+        EXPECT_EQ(resultBytes(uninterrupted.takeResult()),
+                  resultBytes(second.takeResult()));
+    }
 }
 
 TEST(ExperimentSnapshot, SaveRestoreSaveReproducesTheImage)
