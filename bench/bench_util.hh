@@ -17,7 +17,6 @@
 #include <memory>
 #include <string>
 
-#include "driver/checkpoint.hh"
 #include "driver/sim_pool.hh"
 #include "support/faultinject.hh"
 #include "support/interrupt.hh"
@@ -53,15 +52,6 @@ printBenchUsage(const char *prog, std::FILE *out)
         " (also UPC780_STRICT)\n"
         "  --selfcheck        verify accounting identities after the"
         " run\n"
-        "  --checkpoint-dir D rolling per-job checkpoints in D;"
-        " retries resume\n"
-        "                     from the last checkpoint, Ctrl-C drains"
-        " to a final one\n"
-        "  --checkpoint-interval N\n"
-        "                     cycles between checkpoints (default"
-        " 250000)\n"
-        "  --resume           continue an interrupted run from"
-        " --checkpoint-dir\n"
         "  --watchdog-cycles N\n"
         "                     forward-progress watchdog window per"
         " job\n"
@@ -125,7 +115,6 @@ runBench(int *argc, char **argv, const char *title)
     unsigned jobs = parseJobsFlag(argc, argv, envJobs());
     std::string stats_path = stats::parseStatsJsonFlag(argc, argv);
     FaultConfig faults = FaultConfig::parseFlag(argc, argv);
-    CheckpointConfig ckpt = CheckpointConfig::parseFlags(argc, argv);
     RunLimits limits = parseLimitsFlags(argc, argv);
     bool strict = parseBoolFlag(argc, argv, "strict");
     bool selfcheck = parseBoolFlag(argc, argv, "selfcheck");
@@ -135,7 +124,6 @@ runBench(int *argc, char **argv, const char *title)
     SimPool pool(jobs);
     if (strict)
         pool.setStrict(true);
-    pool.setCheckpoint(ckpt);
     std::printf("upc780 bench: %s\n", title);
     std::printf("(composite of 5 workloads, %llu cycles each, "
                 "%u worker threads; set UPC780_CYCLES / UPC780_JOBS "
@@ -158,14 +146,6 @@ runBench(int *argc, char **argv, const char *title)
     PoolTelemetry tele = computeTelemetry(r.composite.parts);
     for (const auto &j : tele.jobs) {
         std::string marks;
-        if (j.resumeCycle) {
-            char buf[48];
-            std::snprintf(buf, sizeof(buf),
-                          "  resumed@%llu",
-                          static_cast<unsigned long long>(
-                              j.resumeCycle));
-            marks += buf;
-        }
         if (j.retries) {
             char buf[48];
             std::snprintf(buf, sizeof(buf), "  %u retried",
@@ -193,13 +173,12 @@ runBench(int *argc, char **argv, const char *title)
                     r.analyzer->totalCycles()),
                 r.analyzer->cyclesPerInstruction());
     if (interrupt::requested()) {
-        // Partial stats were printed above; the drain already left a
-        // final checkpoint per running job when --checkpoint-dir was
-        // given.  Exit with the conventional 128+SIGINT status so
-        // scripts can tell an interrupted run from a finished one.
+        // Partial stats were printed above.  Exit with the
+        // conventional 128+SIGINT status so scripts can tell an
+        // interrupted run from a finished one.
         std::exit(interrupt::reportInterrupted(
             "composite above is partial", tele.interruptedJobs,
-            ckpt.enabled()));
+            false));
     }
     if (selfcheck) {
         std::vector<uint64_t> weights;

@@ -6,7 +6,6 @@
  *
  * Usage: full_report [--jobs N] [--trace LIST] [--stats-json PATH]
  *                    [--faults SPEC] [--strict] [--selfcheck]
- *                    [--checkpoint-dir D] [--resume]
  *                    [cycles-per-experiment]
  */
 
@@ -14,7 +13,6 @@
 #include <cstdlib>
 
 #include "analysis/ulint.hh"
-#include "driver/checkpoint.hh"
 #include "driver/sim_pool.hh"
 #include "support/faultinject.hh"
 #include "support/interrupt.hh"
@@ -50,12 +48,6 @@ usage(const char *prog, std::FILE *out)
         " (also UPC780_STRICT)\n"
         "  --selfcheck        verify accounting identities after the"
         " run\n"
-        "  --checkpoint-dir D rolling per-job checkpoints in D\n"
-        "  --checkpoint-interval N\n"
-        "                     cycles between checkpoints (default"
-        " 250000)\n"
-        "  --resume           continue an interrupted run from"
-        " --checkpoint-dir\n"
         "  --watchdog-cycles N\n"
         "                     forward-progress watchdog window per"
         " job\n"
@@ -176,7 +168,6 @@ main(int argc, char **argv)
     unsigned jobs = parseJobsFlag(&argc, argv, envJobs());
     std::string stats_path = stats::parseStatsJsonFlag(&argc, argv);
     FaultConfig faults = FaultConfig::parseFlag(&argc, argv);
-    CheckpointConfig ckpt = CheckpointConfig::parseFlags(&argc, argv);
     RunLimits limits = parseLimitsFlags(&argc, argv);
     bool strict = parseBoolFlag(&argc, argv, "strict");
     bool selfcheck = parseBoolFlag(&argc, argv, "selfcheck");
@@ -209,7 +200,6 @@ main(int argc, char **argv)
     SimPool pool(jobs);
     if (strict)
         pool.setStrict(true);
-    pool.setCheckpoint(ckpt);
     std::vector<SimJob> job_list = compositeJobs(cycles);
     for (SimJob &j : job_list) {
         if (faults.enabled())
@@ -222,13 +212,13 @@ main(int argc, char **argv)
     CompositeResult comp = pool.runComposite(job_list);
     if (interrupt::requested()) {
         // The tables below would be computed from a partial merge;
-        // print the loud marker and the resumable-state hint instead
-        // of numbers that look like a finished reproduction.
+        // print the loud marker instead of numbers that look like a
+        // finished reproduction.
         PoolTelemetry tele = computeTelemetry(comp.parts);
         std::printf("pool: %s\n", tele.summary().c_str());
         return interrupt::reportInterrupted("report abandoned",
                                             tele.interruptedJobs,
-                                            ckpt.enabled());
+                                            false);
     }
     HistogramAnalyzer an(microcodeRom(), comp.hist);
 

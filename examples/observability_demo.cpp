@@ -14,7 +14,6 @@
  *
  * Usage: observability_demo [--jobs N] [--trace LIST]
  *                           [--stats-json PATH] [--perfetto PATH]
- *                           [--checkpoint-dir D] [--resume]
  */
 
 #include <cstdio>
@@ -22,7 +21,6 @@
 #include <string>
 
 #include "cpu/cpu.hh"
-#include "driver/checkpoint.hh"
 #include "driver/sim_pool.hh"
 #include "support/interrupt.hh"
 #include "support/stats.hh"
@@ -54,16 +52,45 @@ parsePerfettoFlag(int *argc, char **argv)
     return path;
 }
 
+void
+usage(const char *prog, std::FILE *out)
+{
+    std::fprintf(
+        out,
+        "usage: %s [options]\n"
+        "  --jobs N           worker threads, 0 = one per core"
+        " (also UPC780_JOBS)\n"
+        "  --trace LIST       trace channels, e.g. cache,fault"
+        " (also UPC780_TRACE)\n"
+        "  --stats-json PATH  write the composite stats registry as"
+        " JSON\n"
+        "  --perfetto PATH    write the job timeline as a Chrome"
+        " trace\n"
+        "  --help             this message\n"
+        "Cycles per experiment come from UPC780_CYCLES"
+        " (default 500000).\n",
+        prog);
+}
+
 } // anonymous namespace
 
 int
 main(int argc, char **argv)
 {
+    if (parseBoolFlag(&argc, argv, "help")) {
+        usage(argv[0], stdout);
+        return 0;
+    }
     trace::parseTraceFlag(&argc, argv);
     unsigned jobs = parseJobsFlag(&argc, argv, envJobs());
     std::string stats_path = stats::parseStatsJsonFlag(&argc, argv);
     std::string perfetto_path = parsePerfettoFlag(&argc, argv);
-    CheckpointConfig ckpt = CheckpointConfig::parseFlags(&argc, argv);
+    if (argc > 1) {
+        std::fprintf(stderr, "%s: unrecognized argument '%s'\n\n",
+                     argv[0], argv[1]);
+        usage(argv[0], stderr);
+        return 2;
+    }
 
     uint64_t cycles = benchCycles(500'000);
     std::printf("upc780 observability demo "
@@ -74,7 +101,6 @@ main(int argc, char **argv)
     interrupt::install();
     SimPool pool(jobs);
     pool.setProgress(true); // heartbeat on stderr as jobs finish
-    pool.setCheckpoint(ckpt);
     std::vector<SimJob> job_list = compositeJobs(cycles);
     std::vector<ExperimentResult> results = pool.run(job_list);
 
@@ -95,17 +121,9 @@ main(int argc, char **argv)
     }
     if (interrupt::requested())
         return interrupt::reportInterrupted(
-            "telemetry above is partial", tele.interruptedJobs,
-            ckpt.enabled());
+            "telemetry above is partial", tele.interruptedJobs, false);
 
-    CompositeResult comp;
-    for (size_t i = 0; i < results.size(); ++i) {
-        if (!results[i].failed && !results[i].interrupted) {
-            comp.hist.merge(results[i].hist, job_list[i].weight);
-            comp.hw.add(results[i].hw, job_list[i].weight);
-        }
-        comp.parts.push_back(std::move(results[i]));
-    }
+    CompositeResult comp = mergeComposite(job_list, std::move(results));
 
     // ---- 2. The registry over the composite. ----
     stats::Registry reg;

@@ -1,6 +1,7 @@
 #include "driver/campaign.hh"
 
 #include <algorithm>
+#include <cctype>
 #include <cerrno>
 #include <cmath>
 #include <csignal>
@@ -18,7 +19,6 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include "driver/checkpoint.hh"
 #include "support/interrupt.hh"
 #include "support/iofault.hh"
 #include "support/logging.hh"
@@ -191,44 +191,19 @@ fmtDouble(double v)
     return buf;
 }
 
-// =============== shared emit path ===============
+// =============== emit path ===============
 
 /**
  * Merge the per-job parts into the weighted composite and write the
- * campaign outputs.  Shared verbatim between the multi-process
- * supervisor and --in-process mode: the merge is the measurement, so
- * there must be exactly one of it.
+ * campaign outputs.  The merge is the pool's own mergeComposite():
+ * the merge is the measurement, so there is exactly one of it.
  */
 int
 emitCampaignOutputs(const CampaignConfig &cfg,
                     const std::vector<SimJob> &jobs,
                     std::vector<ExperimentResult> parts)
 {
-    CompositeResult comp;
-    uint64_t total_weight = 0;
-    uint64_t lost_weight = 0;
-    unsigned lost_jobs = 0;
-    for (size_t i = 0; i < parts.size(); ++i) {
-        total_weight += jobs[i].weight;
-        if (parts[i].failed || parts[i].interrupted) {
-            lost_weight += jobs[i].weight;
-            ++lost_jobs;
-        } else {
-            comp.hist.merge(parts[i].hist, jobs[i].weight);
-            comp.hw.add(parts[i].hw, jobs[i].weight);
-        }
-        comp.parts.push_back(std::move(parts[i]));
-    }
-    if (lost_weight) {
-        warn("campaign: composite renormalized over surviving weight "
-             "%llu of %llu -- %u job(s) quarantined or failed; "
-             "absolute totals cover the survivors only, ratio stats "
-             "remain comparable",
-             static_cast<unsigned long long>(total_weight -
-                                             lost_weight),
-             static_cast<unsigned long long>(total_weight),
-             lost_jobs);
-    }
+    CompositeResult comp = mergeComposite(jobs, std::move(parts));
     PoolTelemetry tele = computeTelemetry(comp.parts);
     std::printf("campaign: %s\n", tele.summary().c_str());
 
@@ -251,14 +226,25 @@ emitCampaignOutputs(const CampaignConfig &cfg,
     return 0;
 }
 
-CheckpointConfig
-spoolCheckpointConfig(const CampaignConfig &cfg)
+/** Job-name characters that survive into a spool filename. */
+std::string
+sanitizeName(const std::string &name)
 {
-    CheckpointConfig ck;
-    ck.dir = cfg.spool;
-    ck.intervalCycles = cfg.intervalCycles;
-    ck.resume = cfg.resume;
-    return ck;
+    std::string s;
+    for (char c : name)
+        s += (std::isalnum(static_cast<unsigned char>(c)) ||
+              c == '-' || c == '_')
+            ? c
+            : '_';
+    return s.empty() ? std::string("job") : s;
+}
+
+std::string
+jobFile(const std::string &spool, size_t index,
+        const std::string &name, const char *ext)
+{
+    return spool + "/" + jobTokenName(index) + "-" +
+        sanitizeName(name) + ext;
 }
 
 } // anonymous namespace
@@ -310,10 +296,6 @@ campaignUsage(const char *prog, std::FILE *out)
         "                       byte-identical to a clean run\n"
         "  --resume             continue a killed campaign from the"
         " spool\n"
-        "  --in-process         reference mode: run the identical job"
-        " list on\n"
-        "                       a thread pool (byte-identical"
-        " outputs)\n"
         "  --help               this message\n"
         "A SIGINT/SIGTERM fans out to the shards, drains behind the\n"
         "per-job checkpoints, and exits 130; rerun with --resume.\n",
@@ -364,7 +346,6 @@ CampaignConfig::parseFlags(int *argc, char **argv)
     if (takeValueFlag(argc, argv, "perfetto", &val))
         cfg.tracePath = val;
     cfg.resume = parseBoolFlag(argc, argv, "resume");
-    cfg.inProcess = parseBoolFlag(argc, argv, "in-process");
 
     bool have_io_faults = takeValueFlag(argc, argv, "io-faults", &val);
     if (have_io_faults) {
@@ -423,9 +404,6 @@ CampaignConfig::parseFlags(int *argc, char **argv)
         usageError(prog, "--shard requires --shard-id");
     if (!cfg.shardMode && have_shard_id)
         usageError(prog, "--shard-id is meaningless without --shard");
-    if (cfg.shardMode && cfg.inProcess)
-        usageError(prog, "--in-process and --shard are mutually "
-                   "exclusive");
     if (cfg.shards == 0)
         usageError(prog, "--shards 0 would run no workers; use "
                    "--shards 1 or more");
@@ -448,9 +426,6 @@ CampaignConfig::parseFlags(int *argc, char **argv)
             usageError(prog, "--chaos-drill belongs to the "
                        "supervisor; shards receive their derived "
                        "--io-faults schedule from it");
-        if (cfg.inProcess)
-            usageError(prog, "--chaos-drill needs shard processes to "
-                       "fault; it cannot combine with --in-process");
         if (!cfg.ioFaults.empty()) {
             // UPC780_IO_FAULTS is set in the environment.  The drill
             // contract is a clean supervisor, so ignore it loudly
@@ -464,6 +439,26 @@ CampaignConfig::parseFlags(int *argc, char **argv)
 }
 
 // =============== spool geometry and tokens ===============
+
+std::string
+checkpointPath(const std::string &spool, size_t index,
+               const std::string &name)
+{
+    return jobFile(spool, index, name, ".ckpt");
+}
+
+std::string
+resultPath(const std::string &spool, size_t index,
+           const std::string &name)
+{
+    return jobFile(spool, index, name, ".result");
+}
+
+std::string
+manifestPath(const std::string &spool)
+{
+    return spool + "/manifest.ckpt";
+}
 
 std::string
 campaignTodoPath(const CampaignConfig &cfg, size_t job)
@@ -501,6 +496,178 @@ std::string
 campaignFencePath(const CampaignConfig &cfg, size_t job)
 {
     return cfg.spool + "/fence/" + jobTokenName(job);
+}
+
+bool
+fileExists(const std::string &path)
+{
+    struct stat st;
+    return ::stat(path.c_str(), &st) == 0;
+}
+
+bool
+writeResultFile(const std::string &path, const ExperimentResult &r)
+{
+    snap::Serializer s;
+    s.beginSection("result.meta");
+    s.putString(r.name);
+    s.putDouble(r.wallSeconds);
+    s.putDouble(r.startSeconds);
+    s.putU32(r.worker);
+    s.putU32(r.retries);
+    s.putU64(r.resumeCycle);
+    s.putDouble(r.retryWallSeconds);
+    s.putU64(r.fence);
+    s.endSection();
+
+    s.beginSection("result.hist");
+    r.hist.save(s);
+    s.endSection();
+
+    s.beginSection("result.hw");
+    r.hw.counters.save(s);
+    r.hw.cache.save(s);
+    r.hw.tb.save(s);
+    s.putU64(r.hw.faults.parityErrors);
+    s.putU64(r.hw.faults.tbCorruptions);
+    s.putU64(r.hw.faults.sbiTimeouts);
+    s.putU64(r.hw.faults.machineChecks);
+    s.putU64(r.hw.faults.cacheDisables);
+    s.putU64(r.hw.faults.osMachineChecks);
+    s.putU64(r.hw.ibLongwordFetches);
+    s.putU64(r.hw.dataReads);
+    s.putU64(r.hw.dataWrites);
+    s.putU64(r.hw.terminalLinesIn);
+    s.putU64(r.hw.terminalLinesOut);
+    s.putU64(r.hw.diskTransfers);
+    s.endSection();
+    return s.writeFile(path);
+}
+
+bool
+readResultFile(const std::string &path, ExperimentResult *out)
+{
+    if (!fileExists(path))
+        return false;
+    // A .result cut off at the instant of a SIGKILL (truncated, CRC
+    // damage, version skew) means the job is NOT finished -- report
+    // it loudly and let the caller re-run the job.  Aborting would
+    // let one half-written file kill a whole campaign; skipping
+    // silently would merge a lie.
+    try {
+        return readResultFileChecked(path, out);
+    } catch (const snap::SnapshotError &e) {
+        warn("result file '%s' is damaged (%s); treating the job as "
+             "unfinished -- it will be re-run", path.c_str(),
+             e.what());
+        return false;
+    }
+}
+
+bool
+readResultFileChecked(const std::string &path, ExperimentResult *out)
+{
+    if (!fileExists(path))
+        return false;
+    snap::Deserializer d = snap::Deserializer::fromFile(path);
+    ExperimentResult r;
+    d.beginSection("result.meta");
+    r.name = d.getString();
+    r.wallSeconds = d.getDouble();
+    r.startSeconds = d.getDouble();
+    r.worker = d.getU32();
+    r.retries = d.getU32();
+    r.resumeCycle = d.getU64();
+    r.retryWallSeconds = d.getDouble();
+    r.fence = d.getU64();
+    d.endSection();
+
+    d.beginSection("result.hist");
+    r.hist.restore(d);
+    d.endSection();
+
+    d.beginSection("result.hw");
+    r.hw.counters.restore(d);
+    r.hw.cache.restore(d);
+    r.hw.tb.restore(d);
+    r.hw.faults.parityErrors = d.getU64();
+    r.hw.faults.tbCorruptions = d.getU64();
+    r.hw.faults.sbiTimeouts = d.getU64();
+    r.hw.faults.machineChecks = d.getU64();
+    r.hw.faults.cacheDisables = d.getU64();
+    r.hw.faults.osMachineChecks = d.getU64();
+    r.hw.ibLongwordFetches = d.getU64();
+    r.hw.dataReads = d.getU64();
+    r.hw.dataWrites = d.getU64();
+    r.hw.terminalLinesIn = d.getU64();
+    r.hw.terminalLinesOut = d.getU64();
+    r.hw.diskTransfers = d.getU64();
+    d.endSection();
+    d.finish();
+    *out = std::move(r);
+    return true;
+}
+
+void
+writeManifest(const std::string &spool,
+              const std::vector<SimJob> &jobs)
+{
+    snap::Serializer s;
+    s.beginSection("pool.manifest");
+    s.putU64(jobs.size());
+    for (const SimJob &j : jobs) {
+        s.putString(j.profile.name);
+        s.putU64(j.profile.seed);
+        s.putU64(j.sim.seed);
+        s.putU64(j.cycles);
+        s.putU64(j.weight);
+    }
+    s.endSection();
+    // Nothing about the campaign is resumable without the manifest,
+    // so a write that stays failed is fatal -- but a *transient*
+    // failure at the very first spool write (an ENOSPC race, a flaky
+    // mount) gets a few tries before it is allowed to kill the run.
+    std::vector<uint8_t> image = s.finish();
+    for (unsigned attempt = 1; attempt <= 5; ++attempt) {
+        if (io::atomicWrite(manifestPath(spool), image.data(),
+                            image.size()))
+            return;
+        warn("cannot write the campaign manifest to '%s' (attempt "
+             "%u/5); retrying", spool.c_str(), attempt);
+        ::usleep(50'000u * attempt);
+    }
+    fatal("cannot write the campaign manifest to '%s'", spool.c_str());
+}
+
+void
+checkManifest(const std::string &spool,
+              const std::vector<SimJob> &jobs)
+{
+    std::string path = manifestPath(spool);
+    if (!fileExists(path))
+        fatal("--resume: no manifest in '%s' (nothing to resume -- "
+              "was the directory ever used as a campaign spool?)",
+              spool.c_str());
+    try {
+        snap::Deserializer d = snap::Deserializer::fromFile(path);
+        d.beginSection("pool.manifest");
+        d.expectU64(jobs.size(), "job count");
+        for (const SimJob &j : jobs) {
+            std::string name = d.getString();
+            if (name != j.profile.name)
+                fatal("--resume: manifest job '%s' does not match "
+                      "this run's job '%s' (different composite)",
+                      name.c_str(), j.profile.name.c_str());
+            d.expectU64(j.profile.seed, "workload seed");
+            d.expectU64(j.sim.seed, "machine seed");
+            d.expectU64(j.cycles, "cycle budget");
+            d.expectU64(j.weight, "job weight");
+        }
+        d.endSection();
+        d.finish();
+    } catch (const snap::SnapshotError &e) {
+        fatal("--resume: %s", e.what());
+    }
 }
 
 uint64_t
@@ -739,7 +906,6 @@ struct ShardCtx
 {
     const CampaignConfig &cfg;
     std::vector<SimJob> jobs;
-    CheckpointConfig ck;
     std::string hbPath;
     uint64_t seq = 0;
     uint64_t chunksDone = 0;
@@ -816,7 +982,7 @@ runShardJobAttempt(ShardCtx &c, size_t i, ExperimentResult *out,
                    std::string *err, bool *interrupted)
 {
     const SimJob &job = c.jobs[i];
-    std::string cpath = checkpointPath(c.ck, i, job.profile.name);
+    std::string cpath = checkpointPath(c.cfg.spool, i, job.profile.name);
     try {
         guard::Scope scope(job.profile.name, job.sim.seed);
         auto make = [&job] {
@@ -839,7 +1005,7 @@ runShardJobAttempt(ShardCtx &c, size_t i, ExperimentResult *out,
             }
         }
         const uint64_t chunk =
-            std::max<uint64_t>(c.ck.intervalCycles, 1);
+            std::max<uint64_t>(c.cfg.intervalCycles, 1);
         double a0 = campaignWallNow();
         while (!exp->runChunk(chunk)) {
             shardSaveCheckpoint(c, *exp, cpath);
@@ -878,12 +1044,11 @@ int
 runCampaignShard(const CampaignConfig &cfg)
 {
     interrupt::install();
-    ShardCtx c{cfg, campaignJobs(cfg), spoolCheckpointConfig(cfg),
+    ShardCtx c{cfg, campaignJobs(cfg),
                campaignHeartbeatPath(cfg, cfg.shardId)};
-    c.ck.resume = false;
     // A shard must prove it is working the campaign the spool
     // describes before touching a single token.
-    checkManifest(c.ck, c.jobs);
+    checkManifest(cfg.spool, c.jobs);
     beat(c, -1, true);
     inform("shard %u: joined campaign '%s' (%zu jobs)", cfg.shardId,
            cfg.spool.c_str(), c.jobs.size());
@@ -905,7 +1070,7 @@ runCampaignShard(const CampaignConfig &cfg)
             if (!fileExists(todo))
                 continue;
             std::string rpath =
-                resultPath(c.ck, i, c.jobs[i].profile.name);
+                resultPath(cfg.spool, i, c.jobs[i].profile.name);
             if (fileExists(rpath)) {
                 // Defensive: a token for a finished job is stale
                 // bookkeeping from some earlier crash -- retire it.
@@ -1026,7 +1191,7 @@ runCampaignShard(const CampaignConfig &cfg)
                     ::unlink(claim.c_str());
                 } else {
                     ::unlink(checkpointPath(
-                        c.ck, i, c.jobs[i].profile.name).c_str());
+                        cfg.spool, i, c.jobs[i].profile.name).c_str());
                     ::unlink(claim.c_str());
                 }
             } else if (interrupted) {
@@ -1179,16 +1344,14 @@ spawnShard(const CampaignConfig &cfg, unsigned id,
  */
 void
 reclaimShardClaims(const CampaignConfig &cfg,
-                   const std::vector<SimJob> &jobs,
-                   const CheckpointConfig &ck, unsigned shard,
+                   const std::vector<SimJob> &jobs, unsigned shard,
                    bool countAttempt)
 {
     for (size_t i = 0; i < jobs.size(); ++i) {
         std::string claim = campaignClaimPath(cfg, i, shard);
         if (!fileExists(claim))
             continue;
-        std::string rpath = resultPath(ck, i, jobs[i].profile.name);
-        if (fileExists(rpath)) {
+        if (fileExists(resultPath(cfg.spool, i, jobs[i].profile.name))) {
             // Crashed between writing the result and retiring the
             // token: the measurement is safe, only cleanup was lost.
             ::unlink(claim.c_str());
@@ -1232,8 +1395,7 @@ reclaimShardClaims(const CampaignConfig &cfg,
  *  claim in a freshly resumed spool is stale by construction. */
 void
 reclaimAllClaims(const CampaignConfig &cfg,
-                 const std::vector<SimJob> &jobs,
-                 const CheckpointConfig &ck)
+                 const std::vector<SimJob> &jobs)
 {
     DIR *d = ::opendir((cfg.spool + "/claimed").c_str());
     if (!d)
@@ -1256,8 +1418,7 @@ reclaimAllClaims(const CampaignConfig &cfg,
         }
         // No attempt charged: the fleet died around the job, which
         // says nothing about the job itself.
-        reclaimShardClaims(cfg, jobs, ck, shard,
-                           /*countAttempt=*/false);
+        reclaimShardClaims(cfg, jobs, shard, /*countAttempt=*/false);
     }
 }
 
@@ -1267,70 +1428,56 @@ int
 runCampaignSupervisor(const CampaignConfig &cfg)
 {
     std::vector<SimJob> jobs = campaignJobs(cfg);
-    CheckpointConfig ck = spoolCheckpointConfig(cfg);
-    ensureCheckpointDir(ck);
-    for (const char *sub : {"todo", "claimed", "quarantine", "hb",
-                            "logs", "fence"})
-        ensureDir(cfg.spool + "/" + sub);
+    for (const char *sub : {"", "/todo", "/claimed", "/quarantine",
+                            "/hb", "/logs", "/fence"})
+        ensureDir(cfg.spool + sub);
 
     if (cfg.resume) {
-        checkManifest(ck, jobs);
+        checkManifest(cfg.spool, jobs);
     } else {
-        if (fileExists(manifestPath(ck)))
+        if (fileExists(manifestPath(cfg.spool)))
             fatal("campaign: spool '%s' already holds a campaign; "
                   "pass --resume to continue it or point --spool at "
                   "a fresh directory", cfg.spool.c_str());
-        writeManifest(ck, jobs);
+        writeManifest(cfg.spool, jobs);
     }
 
     interrupt::install();
 
-    if (cfg.inProcess) {
-        // Reference mode: the identical job list on SimPool threads.
-        // Same spool layout, same manifest, same emit path -- the
-        // multi-process campaign must match this byte for byte.
-        SimPool pool(cfg.shards);
-        pool.setCheckpoint(ck);
-        std::vector<ExperimentResult> results = pool.run(jobs);
-        if (interrupt::requested()) {
-            PoolTelemetry tele = computeTelemetry(results);
-            return interrupt::reportInterrupted(
-                "campaign abandoned behind per-job checkpoints",
-                tele.interruptedJobs, true);
+    // The one fenced-result check, shared by resume spooling, the
+    // completion test and the final merge.  A result counts only when
+    // it is intact and carries the job's current claim epoch.  A
+    // damaged one (readResultFile warned) or a fence-stale one -- a
+    // zombie shard's write from a claim epoch a supervisor already
+    // revoked -- is unlinked: the job is not finished.
+    auto takeResult = [&](size_t i, ExperimentResult *out) {
+        std::string rpath =
+            resultPath(cfg.spool, i, jobs[i].profile.name);
+        if (readResultFile(rpath, out)) {
+            uint64_t highWater =
+                readFenceFile(campaignFencePath(cfg, i));
+            if (out->fence >= highWater)
+                return true;
+            warn("campaign: job %zu '%s' result carries stale fence "
+                 "%llu < %llu; rejected, the job is not finished", i,
+                 jobs[i].profile.name.c_str(),
+                 static_cast<unsigned long long>(out->fence),
+                 static_cast<unsigned long long>(highWater));
         }
-        return emitCampaignOutputs(cfg, jobs, std::move(results));
-    }
+        ::unlink(rpath.c_str());
+        return false;
+    };
 
     // ---- Spool the tokens. ----
     for (size_t i = 0; i < jobs.size(); ++i) {
-        std::string rpath = resultPath(ck, i, jobs[i].profile.name);
         std::string todo = campaignTodoPath(cfg, i);
         if (!cfg.resume) {
             writeJobTokenFile(todo, JobToken());
             continue;
         }
         ExperimentResult scratch;
-        if (readResultFile(rpath, &scratch)) {
-            uint64_t highWater =
-                readFenceFile(campaignFencePath(cfg, i));
-            if (scratch.fence >= highWater)
-                continue; // finished by the previous fleet
-            // A fence-stale result is a zombie shard's write from a
-            // claim epoch the previous supervisor already revoked:
-            // reject it and re-run the job.
-            warn("campaign: job %zu '%s' result carries stale fence "
-                 "%llu < %llu; rejected, the job will be re-run", i,
-                 jobs[i].profile.name.c_str(),
-                 static_cast<unsigned long long>(scratch.fence),
-                 static_cast<unsigned long long>(highWater));
-            ::unlink(rpath.c_str());
-        }
-        if (fileExists(rpath)) {
-            // Present but unreadable: cut off by the crash.  The
-            // loud warning came from readResultFile; the job simply
-            // is not finished.
-            ::unlink(rpath.c_str());
-        }
+        if (takeResult(i, &scratch))
+            continue; // finished by the previous fleet
         if (fileExists(campaignQuarantinePath(cfg, i)))
             continue; // poison stays quarantined across resumes
         if (!fileExists(todo) &&
@@ -1341,7 +1488,7 @@ runCampaignSupervisor(const CampaignConfig &cfg)
             writeJobTokenFile(todo, JobToken());
     }
     if (cfg.resume)
-        reclaimAllClaims(cfg, jobs, ck);
+        reclaimAllClaims(cfg, jobs);
 
     // ---- Launch the fleet. ----
     const std::string self = selfExePath();
@@ -1369,18 +1516,19 @@ runCampaignSupervisor(const CampaignConfig &cfg)
         size_t done = 0;
         for (size_t i = 0; i < jobs.size(); ++i)
             if (fileExists(
-                    resultPath(ck, i, jobs[i].profile.name)))
+                    resultPath(cfg.spool, i, jobs[i].profile.name)))
                 ++done;
         return done;
     };
     std::vector<bool> validated(jobs.size(), false);
-    // A job is *orphaned* when it has no result and its token exists
-    // nowhere (todo/any claim/quarantine) -- the trace of a token
-    // write that an injected I/O fault ate.  The claim rename is
-    // atomic and every other transition writes the destination before
-    // unlinking the source, so a steady state with no token is never
-    // a race in progress: heal it with a fresh token at the current
-    // claim epoch instead of spinning the fleet to death.
+    // A job is *orphaned* when it has no usable result and its token
+    // exists nowhere (todo/any claim/quarantine) -- the trace of a
+    // token write that an injected I/O fault ate, or of a result the
+    // fenced check just rejected.  The claim rename is atomic and
+    // every other transition writes the destination before unlinking
+    // the source, so a steady state with no token is never a race in
+    // progress: heal it with a fresh token at the current claim epoch
+    // instead of spinning the fleet to death.
     auto jobHeldByAnyShard = [&](size_t i) {
         std::string prefix = jobTokenName(i) + ".shard";
         DIR *d = ::opendir((cfg.spool + "/claimed").c_str());
@@ -1403,8 +1551,8 @@ runCampaignSupervisor(const CampaignConfig &cfg)
             return;
         JobToken tok;
         tok.fence = readFenceFile(campaignFencePath(cfg, i));
-        warn("campaign: job %zu '%s' has no token anywhere (a spool "
-             "write was lost); respooling it", i,
+        warn("campaign: job %zu '%s' has no result and no token "
+             "anywhere; respooling it", i,
              jobs[i].profile.name.c_str());
         writeJobTokenFile(campaignTodoPath(cfg, i), tok);
     };
@@ -1413,36 +1561,12 @@ runCampaignSupervisor(const CampaignConfig &cfg)
             if (validated[i] ||
                 fileExists(campaignQuarantinePath(cfg, i)))
                 continue;
-            std::string rpath =
-                resultPath(ck, i, jobs[i].profile.name);
-            if (!fileExists(rpath)) {
-                healOrphan(i);
-                return false;
-            }
             ExperimentResult scratch;
-            uint64_t highWater =
-                readFenceFile(campaignFencePath(cfg, i));
-            if (readResultFile(rpath, &scratch)) {
-                if (scratch.fence >= highWater) {
-                    validated[i] = true;
-                    continue;
-                }
-                warn("campaign: job %zu '%s' result is fence-stale "
-                     "(%llu < %llu); rejected at merge, the job "
-                     "will be re-run", i,
-                     jobs[i].profile.name.c_str(),
-                     static_cast<unsigned long long>(scratch.fence),
-                     static_cast<unsigned long long>(highWater));
+            if (takeResult(i, &scratch)) {
+                validated[i] = true;
+                continue;
             }
-            // Damaged or fence-stale result: not finished.  Requeue
-            // (at the current claim epoch) unless some shard already
-            // holds the job again.
-            ::unlink(rpath.c_str());
-            if (!fileExists(campaignTodoPath(cfg, i))) {
-                JobToken tok;
-                tok.fence = highWater;
-                writeJobTokenFile(campaignTodoPath(cfg, i), tok);
-            }
+            healOrphan(i);
             return false;
         }
         return true;
@@ -1482,7 +1606,7 @@ runCampaignSupervisor(const CampaignConfig &cfg)
                          WIFSIGNALED(status) ? "signal" : "exit",
                          WIFSIGNALED(status) ? WTERMSIG(status)
                                              : WEXITSTATUS(status));
-                    reclaimShardClaims(cfg, jobs, ck, c.id,
+                    reclaimShardClaims(cfg, jobs, c.id,
                                        /*countAttempt=*/true);
                     if (!campaignDone() && spawns_left)
                         launch();
@@ -1569,38 +1693,25 @@ runCampaignSupervisor(const CampaignConfig &cfg)
     }
 
     // ---- Hierarchical merge: shards emitted partial dumps (.result
-    // files); composite them exactly like the in-process pool. ----
+    // files); composite them exactly as SimPool::runComposite does.
+    // ----
     std::vector<ExperimentResult> parts(jobs.size());
     for (size_t i = 0; i < jobs.size(); ++i) {
-        std::string rpath = resultPath(ck, i, jobs[i].profile.name);
-        if (readResultFile(rpath, &parts[i])) {
-            uint64_t highWater =
-                readFenceFile(campaignFencePath(cfg, i));
-            if (parts[i].fence >= highWater)
-                continue;
-            // The last line of the split-brain defense: a zombie
-            // shard's write that landed after campaignDone() last
-            // looked.  Its measurement is from a revoked claim epoch
-            // -- refuse to composite it.
-            warn("campaign: job %zu '%s' result is fence-stale "
-                 "(%llu < %llu); REJECTED at merge", i,
-                 jobs[i].profile.name.c_str(),
-                 static_cast<unsigned long long>(parts[i].fence),
-                 static_cast<unsigned long long>(highWater));
-            parts[i] = ExperimentResult();
-            parts[i].name = jobs[i].profile.name;
-            parts[i].failed = true;
-            parts[i].error = "stale-fenced result rejected at merge";
+        // A result rejected here is a zombie's write that landed
+        // after campaignDone() last looked: its measurement is from a
+        // revoked claim epoch, so it stays out of the composite.
+        if (takeResult(i, &parts[i]))
             continue;
-        }
         JobToken tok;
-        readJobTokenFile(campaignQuarantinePath(cfg, i), &tok);
+        bool quarantined =
+            readJobTokenFile(campaignQuarantinePath(cfg, i), &tok);
+        parts[i] = ExperimentResult();
         parts[i].name = jobs[i].profile.name;
         parts[i].failed = true;
         parts[i].retries = tok.attempts;
-        parts[i].error = tok.lastError.empty()
-            ? std::string("quarantined")
-            : tok.lastError;
+        parts[i].error = !quarantined ? "result rejected at merge"
+            : tok.lastError.empty()   ? "quarantined"
+                                      : tok.lastError;
     }
     return emitCampaignOutputs(cfg, jobs, std::move(parts));
 }

@@ -14,7 +14,9 @@
  *    take work by an atomic claim-file rename (rename(2) of the same
  *    token within the spool), so idle shards work-steal and no job
  *    can be claimed twice.  A job retires when its `.result` file
- *    (PR-4 format, CRC-checked, written tmp+rename) exists.
+ *    (CRC-checked snapshot sections, written tmp+rename) exists.
+ *    This module owns the whole spool layout: tokens, manifest,
+ *    rolling `.ckpt` checkpoints and `.result` files.
  *  - Every shard refreshes a per-shard *heartbeat* file; the
  *    supervisor reaps crashed children immediately via waitpid and
  *    SIGKILLs children whose heartbeat goes stale (a hang), then
@@ -23,12 +25,14 @@
  *    SimError, or a crash while holding the claim) requeues the job
  *    with capped exponential backoff; after maxAttempts failures the
  *    token moves to quarantine/ and the campaign completes over the
- *    survivors, renormalized exactly like the in-process pool.
+ *    survivors, renormalized by the pool's mergeComposite().
  *  - SIGINT/SIGTERM on the supervisor fans out to the shards, which
  *    drain behind their rolling per-job checkpoints and exit 130;
  *    `--resume` restarts the whole fleet from the manifest plus the
  *    per-job .result/.ckpt files and produces the byte-identical
  *    composite of an uninterrupted run (the kill-drill ctest gate).
+ *    This is the repository's one durable-resume path: SimPool
+ *    itself keeps nothing on disk.
  *  - Claims are *epoch-fenced*: every token carries a monotonic fence
  *    number, bumped (and persisted to a per-job fence file) each time
  *    the supervisor reclaims a claim from a dead or hung shard.  A
@@ -51,9 +55,9 @@
  *    SIGKILLs.
  *
  * Every quantity that reaches the composite is a deterministic
- * simulation sum, so a campaign's stats dump is byte-identical to the
- * same job list run --in-process on a thread pool -- processes are
- * just the failure domain, never the measurement.
+ * simulation sum, so a campaign's stats dump is byte-identical to
+ * SimPool::runComposite over the same job list -- processes are just
+ * the failure domain, never the measurement.
  */
 
 #ifndef UPC780_DRIVER_CAMPAIGN_HH
@@ -101,9 +105,7 @@ struct CampaignConfig
     double backoffCap = 8.0;
     /** @} */
 
-    bool resume = false;    ///< continue a killed campaign's spool
-    bool inProcess = false; ///< reference mode: SimPool threads instead
-                            ///< of processes (identical outputs)
+    bool resume = false;       ///< continue a killed campaign's spool
     std::string statsJsonPath; ///< composite stats registry as JSON
     std::string tracePath;     ///< Chrome trace-event timeline
 
@@ -138,13 +140,13 @@ struct CampaignConfig
     /** @} */
 
     /**
-     * Parse and strip every campaign flag from argv.  Mirrors
-     * CheckpointConfig::parseFlags, but the failure contract is the
-     * tool's: any malformed value, unknown argument or nonsensical
-     * combination (--resume without --spool, --shards 0, a heartbeat
-     * timeout at or below the interval, ...) prints the usage and
-     * exits 2 -- a typo must never launch a different fleet than the
-     * one asked for.  --help prints the usage and exits 0.
+     * Parse and strip every campaign flag from argv.  The failure
+     * contract is the tool's: any malformed value, unknown argument
+     * or nonsensical combination (--resume without --spool, --shards
+     * 0, a heartbeat timeout at or below the interval, ...) prints
+     * the usage and exits 2 -- a typo must never launch a different
+     * fleet than the one asked for.  --help prints the usage and
+     * exits 0.
      */
     static CampaignConfig parseFlags(int *argc, char **argv);
 };
@@ -166,8 +168,15 @@ struct JobToken
     std::string lastError;  ///< final line of the last failure
 };
 
-/** @{ Spool geometry.  Job files (.ckpt/.result) use the PR-4
- *  checkpointPath/resultPath naming in the spool root. */
+/** @{ Spool geometry.  Job files live in the spool root as
+ *  "jobNNN-<name>.ckpt" (rolling checkpoint) and ".result" (finished
+ *  measurement); the name is sanitized for the filesystem and the
+ *  index keeps duplicates distinct. */
+std::string checkpointPath(const std::string &spool, size_t index,
+                           const std::string &name);
+std::string resultPath(const std::string &spool, size_t index,
+                       const std::string &name);
+std::string manifestPath(const std::string &spool);
 std::string campaignTodoPath(const CampaignConfig &cfg, size_t job);
 std::string campaignClaimPath(const CampaignConfig &cfg, size_t job,
                               unsigned shard);
@@ -178,6 +187,45 @@ std::string campaignHeartbeatPath(const CampaignConfig &cfg,
 std::string campaignLogPath(const CampaignConfig &cfg, unsigned shard);
 std::string campaignFencePath(const CampaignConfig &cfg, size_t job);
 /** @} */
+
+/** True when @p path exists. */
+bool fileExists(const std::string &path);
+
+/**
+ * Persist a finished job's measurements (durable tmp+rename write).
+ * @return False (with warn) on I/O failure.
+ */
+bool writeResultFile(const std::string &path,
+                     const ExperimentResult &r);
+
+/**
+ * Load a finished job's .result file into @p out.  @return False
+ * when the file is absent, or when it is present but truncated /
+ * CRC-damaged / version-skewed (warned loudly) -- a half-written
+ * result means the job is simply not finished and must be re-run,
+ * never merged and never allowed to abort a campaign.
+ */
+bool readResultFile(const std::string &path, ExperimentResult *out);
+
+/** Strict variant: damage in a present file raises SnapshotError
+ *  (for tests and callers that must distinguish damage from
+ *  absence). */
+bool readResultFileChecked(const std::string &path,
+                           ExperimentResult *out);
+
+/** Write the spool's job-list manifest for a fresh campaign (fatal
+ *  on a write that stays failed -- without it nothing resumes). */
+void writeManifest(const std::string &spool,
+                   const std::vector<SimJob> &jobs);
+
+/**
+ * Verify that the spool's manifest describes exactly @p jobs (count,
+ * names, seeds, cycle budgets, weights).  Fatal on a missing manifest
+ * or any mismatch: resuming a different composite is refused, never
+ * papered over.
+ */
+void checkManifest(const std::string &spool,
+                   const std::vector<SimJob> &jobs);
 
 /** @{ Fence files: the durable per-job claim-epoch high-water mark.
  *  readFenceFile returns 0 when the file is missing (every job starts

@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <thread>
 
@@ -13,7 +16,6 @@
 #include "support/iofault.hh"
 #include "support/logging.hh"
 #include "support/sim_error.hh"
-#include "support/snapshot.hh"
 #include "support/trace.hh"
 
 namespace vax
@@ -54,90 +56,22 @@ emitHeartbeat(size_t done, size_t total, double elapsed)
 }
 
 /**
- * Chunk size when checkpointing is off: small enough that a drain
- * request is noticed promptly, large enough that the per-chunk
- * bookkeeping (one branch, one relaxed atomic load) is invisible
- * next to simulating 64k machine cycles.  Chunk boundaries never
- * change the simulated cycle stream, so any value is
- * byte-transparent.
+ * Chunk size of a pooled run: small enough that a drain request is
+ * noticed promptly, large enough that the per-chunk bookkeeping (one
+ * branch, one relaxed atomic load) is invisible next to simulating
+ * 64k machine cycles.  Chunk boundaries never change the simulated
+ * cycle stream, so any value is byte-transparent.
  */
 constexpr uint64_t drainChunkCycles = 65536;
 
 /**
- * One execution attempt of a job, chunked so the experiment can be
- * checkpointed between chunks and drained on an interrupt request.
- *
- * @param ckpt_path   Rolling checkpoint file ("" = checkpointing off).
- * @param try_restore Resume from ckpt_path when it exists (retry
- *                    after a failure, or --resume of a killed run).
- *                    An unreadable checkpoint falls back, loudly, to
- *                    a fresh run -- a damaged best-effort file should
- *                    cost the saved cycles, not the job.
- * @param clear_trip  Disarm a RunLimits::tripCycle recovery drill
- *                    after a successful restore (the checkpointed-
- *                    retry path the drill exists to exercise).
+ * Run one job with pool bookkeeping, chunked so an interrupt request
+ * drains it at the next chunk boundary.  When tracing is on, the
+ * job's lines collect in a per-job buffer flushed in one write at the
+ * end, so concurrent jobs' traces never interleave.
  */
 ExperimentResult
-runJobAttempt(const SimJob &job, const std::string &ckpt_path,
-              uint64_t interval, bool try_restore, bool clear_trip)
-{
-    auto make = [&job] {
-        return std::make_unique<Experiment>(job.profile, job.cycles,
-                                            job.sim, job.vms,
-                                            job.limits);
-    };
-    std::unique_ptr<Experiment> exp = make();
-    uint64_t resume_cycle = 0;
-    if (try_restore && !ckpt_path.empty() && fileExists(ckpt_path)) {
-        try {
-            exp->restoreFile(ckpt_path);
-            resume_cycle = exp->cycle();
-            if (clear_trip)
-                exp->clearTrip();
-            TRACE(Pool, "job '%s' restored from checkpoint at "
-                  "cycle %llu",
-                  job.profile.name.c_str(),
-                  static_cast<unsigned long long>(resume_cycle));
-        } catch (const snap::SnapshotError &e) {
-            warn("pool: checkpoint '%s' unusable (%s); job '%s' "
-                 "restarts from its seed",
-                 ckpt_path.c_str(), e.what(),
-                 job.profile.name.c_str());
-            // A partially applied restore is not a valid machine:
-            // rebuild from scratch.
-            exp = make();
-            resume_cycle = 0;
-        }
-    }
-    const uint64_t chunk =
-        ckpt_path.empty() ? drainChunkCycles
-                          : std::max<uint64_t>(interval, 1);
-    bool interrupted = false;
-    while (!exp->runChunk(chunk)) {
-        if (!ckpt_path.empty())
-            exp->saveFile(ckpt_path);
-        if (interrupt::requested()) {
-            // The checkpoint just written is the final one; the
-            // partial result below carries the interrupted marker.
-            interrupted = true;
-            break;
-        }
-    }
-    ExperimentResult r = exp->takeResult();
-    r.resumeCycle = resume_cycle;
-    r.interrupted = interrupted;
-    return r;
-}
-
-/**
- * Run one job with pool bookkeeping.  When tracing is on, the job's
- * lines collect in a per-job buffer flushed in one write at the end,
- * so concurrent jobs' traces never interleave.
- */
-ExperimentResult
-runPooledJob(const SimJob &job, unsigned worker, Clock::time_point t0,
-             const std::string &ckpt_path, uint64_t interval,
-             bool try_restore, bool clear_trip)
+runPooledJob(const SimJob &job, unsigned worker, Clock::time_point t0)
 {
     trace::BufferSink buf;
     const bool buffering = trace::anyEnabled();
@@ -148,9 +82,18 @@ runPooledJob(const SimJob &job, unsigned worker, Clock::time_point t0,
     TRACE(Pool, "job '%s' start (worker %u)",
           job.profile.name.c_str(), worker);
     auto a0 = Clock::now();
-    ExperimentResult r =
-        runJobAttempt(job, ckpt_path, interval, try_restore,
-                      clear_trip);
+    auto exp = std::make_unique<Experiment>(job.profile, job.cycles,
+                                            job.sim, job.vms,
+                                            job.limits);
+    bool interrupted = false;
+    while (!exp->runChunk(drainChunkCycles)) {
+        if (interrupt::requested()) {
+            interrupted = true;
+            break;
+        }
+    }
+    ExperimentResult r = exp->takeResult();
+    r.interrupted = interrupted;
     r.wallSeconds = secondsSince(a0);
     r.startSeconds = start;
     r.worker = worker;
@@ -164,38 +107,28 @@ runPooledJob(const SimJob &job, unsigned worker, Clock::time_point t0,
 /**
  * Guarded variant: a panic()/fatal()/watchdog/timeout inside the job
  * surfaces as a SimError here instead of killing the process.  The
- * job is retried once -- from its last checkpoint when one exists
- * (the failed attempt's cycles up to that point are kept, and the
- * recovery cost lands in resumeCycle/retryWallSeconds), else from
- * its seed (pure by-value state, so the retry replays the identical
- * cycle stream).  A second failure yields a zeroed, failed-marked
- * result so the siblings' merge is unaffected.
+ * job is retried once from its seed (pure by-value state, so the
+ * retry replays the identical cycle stream).  A second failure yields
+ * a zeroed, failed-marked result so the siblings' merge is
+ * unaffected.
  */
 ExperimentResult
-runGuardedJob(const SimJob &job, unsigned worker, Clock::time_point t0,
-              const std::string &ckpt_path, uint64_t interval,
-              bool resume)
+runGuardedJob(const SimJob &job, unsigned worker, Clock::time_point t0)
 {
     double retry_wall = 0.0;
     for (unsigned attempt = 0;; ++attempt) {
         auto a0 = Clock::now();
         try {
             guard::Scope scope(job.profile.name, job.sim.seed);
-            ExperimentResult r =
-                runPooledJob(job, worker, t0, ckpt_path, interval,
-                             attempt > 0 || resume, attempt > 0);
+            ExperimentResult r = runPooledJob(job, worker, t0);
             r.retries = attempt;
             r.retryWallSeconds = retry_wall;
             return r;
         } catch (const std::exception &e) {
             retry_wall += secondsSince(a0);
-            bool have_ckpt =
-                !ckpt_path.empty() && fileExists(ckpt_path);
             warn("pool: job '%s' failed (%s)%s",
                  job.profile.name.c_str(), e.what(),
-                 attempt > 0             ? ""
-                 : have_ckpt ? "; retrying from its last checkpoint"
-                             : "; retrying once from its seed");
+                 attempt > 0 ? "" : "; retrying once from its seed");
             if (attempt == 0)
                 continue;
             ExperimentResult r;
@@ -209,6 +142,79 @@ runGuardedJob(const SimJob &job, unsigned worker, Clock::time_point t0,
             return r;
         }
     }
+}
+
+/**
+ * Strip "--<name> V" / "--<name>=V" from argv (updating *argc); the
+ * last occurrence wins.  @return Whether the flag was present, with
+ * its value in *val.  A valued flag with no value is fatal rather
+ * than silently eating the next positional.
+ */
+bool
+parseValueFlag(int *argc, char **argv, const char *name,
+               std::string *val)
+{
+    std::string flag = std::string("--") + name;
+    std::string pref = flag + "=";
+    bool have = false;
+    int out = 1;
+    for (int i = 1; i < *argc; ++i) {
+        const char *arg = argv[i];
+        if (flag == arg) {
+            if (i + 1 >= *argc)
+                fatal("%s requires a value", flag.c_str());
+            *val = argv[++i];
+            have = true;
+        } else if (std::strncmp(arg, pref.c_str(), pref.size()) == 0) {
+            *val = arg + pref.size();
+            have = true;
+        } else {
+            argv[out++] = argv[i];
+        }
+    }
+    argv[out] = nullptr;
+    *argc = out;
+    return have;
+}
+
+/** Parse @p val as an unsigned integer for @p flag; fatal on garbage
+ *  and, unless @p zero_ok, on zero. */
+uint64_t
+parseCount(const char *flag, const std::string &val, bool zero_ok)
+{
+    char *end = nullptr;
+    errno = 0;
+    unsigned long long v = std::strtoull(val.c_str(), &end, 0);
+    // strtoull would skip blanks and wrap "-1"; a count starts with
+    // a digit.
+    if (!std::isdigit(static_cast<unsigned char>(val[0])) || errno ||
+        *end || (!v && !zero_ok))
+        fatal("%s: '%s' is not a %s count", flag, val.c_str(),
+              zero_ok ? "non-negative" : "positive");
+    return v;
+}
+
+/** Parse @p val as a positive duration in seconds for @p flag. */
+double
+parseSeconds(const char *flag, const std::string &val)
+{
+    char *end = nullptr;
+    errno = 0;
+    double v = std::strtod(val.c_str(), &end);
+    if (errno || end == val.c_str() || *end || !(v > 0.0))
+        fatal("%s: '%s' is not a positive duration in seconds",
+              flag, val.c_str());
+    return v;
+}
+
+/** A worker count for --jobs or UPC780_JOBS (0 = one per core). */
+unsigned
+jobCount(const char *what, const std::string &val)
+{
+    uint64_t v = parseCount(what, val, true);
+    if (v > std::numeric_limits<unsigned>::max())
+        fatal("%s: '%s' is out of range", what, val.c_str());
+    return static_cast<unsigned>(v);
 }
 
 } // anonymous namespace
@@ -292,17 +298,6 @@ SimPool::run(const std::vector<SimJob> &jobs) const
     if (jobs.empty())
         return results;
 
-    const CheckpointConfig &ck = checkpoint_;
-    if (ck.enabled()) {
-        ensureCheckpointDir(ck);
-        // --resume is only honored against the identical job list;
-        // a fresh run stamps the manifest the next resume will check.
-        if (ck.resume)
-            checkManifest(ck, jobs);
-        else
-            writeManifest(ck, jobs);
-    }
-
     unsigned nthreads = workers_;
     if (nthreads > jobs.size())
         nthreads = static_cast<unsigned>(jobs.size());
@@ -311,28 +306,11 @@ SimPool::run(const std::vector<SimJob> &jobs) const
     const bool progress = progress_;
     const bool strict = strict_;
 
-    auto run_one = [&jobs, &results, &ck, strict,
-                    t0](size_t i, unsigned w) {
-        const SimJob &job = jobs[i];
-        std::string cpath, rpath;
-        if (ck.enabled()) {
-            cpath = checkpointPath(ck, i, job.profile.name);
-            rpath = resultPath(ck, i, job.profile.name);
-            // A job the interrupted run already finished is not
-            // re-simulated: its measurements are on disk.
-            if (ck.resume && readResultFile(rpath, &results[i]))
-                return;
-        }
+    auto run_one = [&jobs, &results, strict, t0](size_t i, unsigned w) {
         // Strict mode restores fail-fast: no guard scope, so a job's
         // panic()/fatal() aborts the process as it always did.
-        results[i] = strict
-            ? runPooledJob(job, w, t0, cpath, ck.intervalCycles,
-                           ck.resume, false)
-            : runGuardedJob(job, w, t0, cpath, ck.intervalCycles,
-                            ck.resume);
-        if (ck.enabled() && !results[i].failed &&
-            !results[i].interrupted)
-            writeResultFile(rpath, results[i]);
+        results[i] = strict ? runPooledJob(jobs[i], w, t0)
+                            : runGuardedJob(jobs[i], w, t0);
     };
 
     if (nthreads <= 1) {
@@ -395,7 +373,6 @@ computeTelemetry(const std::vector<ExperimentResult> &results)
         j.failed = r.failed;
         j.error = r.error;
         j.retries = r.retries;
-        j.resumeCycle = r.resumeCycle;
         j.retryWallSeconds = r.retryWallSeconds;
         j.interrupted = r.interrupted;
         if (r.failed)
@@ -510,12 +487,13 @@ writeChromeTrace(const std::string &path,
 }
 
 CompositeResult
-SimPool::runComposite(const std::vector<SimJob> &jobs) const
+mergeComposite(const std::vector<SimJob> &jobs,
+               std::vector<ExperimentResult> results)
 {
-    std::vector<ExperimentResult> results = run(jobs);
     CompositeResult comp;
     uint64_t total_weight = 0;
     uint64_t lost_weight = 0;
+    unsigned lost_jobs = 0;
     for (size_t i = 0; i < results.size(); ++i) {
         total_weight += jobs[i].weight;
         // Interrupted jobs are partial measurements: like failed
@@ -523,6 +501,7 @@ SimPool::runComposite(const std::vector<SimJob> &jobs) const
         // parts so the caller can report them).
         if (results[i].failed || results[i].interrupted) {
             lost_weight += jobs[i].weight;
+            ++lost_jobs;
         } else {
             comp.hist.merge(results[i].hist, jobs[i].weight);
             comp.hw.add(results[i].hw, jobs[i].weight);
@@ -533,19 +512,20 @@ SimPool::runComposite(const std::vector<SimJob> &jobs) const
         // Deliberately loud: a composite over fewer parts is still a
         // valid weighted measurement, but it is NOT the number the
         // caller asked for.
-        warn("pool: composite renormalized over surviving weight "
-             "%llu of %llu -- %u job(s) failed or interrupted; "
+        warn("composite renormalized over surviving weight %llu of "
+             "%llu -- %u job(s) failed, quarantined or interrupted; "
              "absolute totals cover the survivors only, ratio stats "
              "remain comparable",
              static_cast<unsigned long long>(total_weight - lost_weight),
-             static_cast<unsigned long long>(total_weight),
-             static_cast<unsigned>(
-                 std::count_if(comp.parts.begin(), comp.parts.end(),
-                               [](const ExperimentResult &r) {
-                                   return r.failed || r.interrupted;
-                               })));
+             static_cast<unsigned long long>(total_weight), lost_jobs);
     }
     return comp;
+}
+
+CompositeResult
+SimPool::runComposite(const std::vector<SimJob> &jobs) const
+{
+    return mergeComposite(jobs, run(jobs));
 }
 
 std::vector<SimJob>
@@ -567,32 +547,37 @@ runCompositePooled(uint64_t cycles_per_experiment, unsigned jobs)
 unsigned
 parseJobsFlag(int *argc, char **argv, unsigned def)
 {
-    unsigned jobs = def;
-    int out = 1;
-    for (int i = 1; i < *argc; ++i) {
-        const char *arg = argv[i];
-        if (std::strcmp(arg, "--jobs") == 0 && i + 1 < *argc) {
-            jobs = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 0));
-        } else if (std::strncmp(arg, "--jobs=", 7) == 0) {
-            jobs = static_cast<unsigned>(
-                std::strtoul(arg + 7, nullptr, 0));
-        } else {
-            argv[out++] = argv[i];
-        }
-    }
-    argv[out] = nullptr;
-    *argc = out;
-    return jobs;
+    std::string val;
+    return parseValueFlag(argc, argv, "jobs", &val)
+        ? jobCount("--jobs", val)
+        : def;
 }
 
 unsigned
 envJobs(unsigned def)
 {
     const char *env = std::getenv("UPC780_JOBS");
-    if (!env || !*env)
-        return def;
-    return static_cast<unsigned>(std::strtoul(env, nullptr, 0));
+    return env && *env ? jobCount("UPC780_JOBS", env) : def;
+}
+
+uint64_t
+benchCycles(uint64_t def)
+{
+    const char *env = std::getenv("UPC780_CYCLES");
+    return env && *env ? parseCount("UPC780_CYCLES", env, false) : def;
+}
+
+RunLimits
+parseLimitsFlags(int *argc, char **argv)
+{
+    RunLimits limits;
+    std::string val;
+    if (parseValueFlag(argc, argv, "watchdog-cycles", &val))
+        limits.watchdogCycles =
+            parseCount("--watchdog-cycles", val, false);
+    if (parseValueFlag(argc, argv, "job-timeout", &val))
+        limits.timeoutSeconds = parseSeconds("--job-timeout", val);
+    return limits;
 }
 
 bool

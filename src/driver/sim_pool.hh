@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "cpu/cpu.hh"
-#include "driver/checkpoint.hh"
 #include "os/vms.hh"
 #include "workload/experiments.hh"
 #include "workload/profile.hh"
@@ -50,7 +49,6 @@ struct JobTelemetry
     std::string error;         ///< final failure description
     /** @{ Recovery cost, all zero for a clean first-try run. */
     unsigned retries = 0;          ///< attempts thrown away
-    uint64_t resumeCycle = 0;      ///< cycle the kept attempt started at
     double retryWallSeconds = 0.0; ///< host time burned in lost attempts
     bool interrupted = false;      ///< abandoned by a graceful drain
     /** @} */
@@ -148,52 +146,33 @@ class SimPool
     void setStrict(bool on) { strict_ = on; }
     bool strict() const { return strict_; }
 
-    /** @{ Checkpointed recovery: when a checkpoint directory is
-     *  configured, every running job keeps a rolling snapshot there
-     *  (refreshed each intervalCycles), a SimError retry restores
-     *  from the job's last checkpoint instead of replaying from its
-     *  seed, completed jobs persist their measurements, and a
-     *  resume() run of the identical job list (manifest-verified)
-     *  continues an interrupted composite where it stopped. */
-    void setCheckpoint(const CheckpointConfig &ck) { checkpoint_ = ck; }
-    const CheckpointConfig &checkpoint() const { return checkpoint_; }
-    /** @} */
-
     /**
      * Run all jobs, at most workers() at a time.
      *
      * Unless strict() is set, each job runs guarded: a panic(),
      * fatal(), watchdog or timeout inside the job becomes a SimError
-     * and the job is deterministically retried once -- from its last
-     * checkpoint when checkpointing is on (the recovery cost lands in
-     * the result's resumeCycle/retryWallSeconds), else from its seed
+     * and the job is deterministically retried once from its seed
      * (the job is pure by-value state, so the retry replays the
-     * identical cycle stream).  A second failure marks the result
+     * identical cycle stream; the lost host time lands in the
+     * result's retryWallSeconds).  A second failure marks the result
      * failed instead of taking down the siblings.
      *
      * An interrupt request (SIGINT/SIGTERM via interrupt::install,
      * or interrupt::request in tests) drains the pool gracefully:
-     * running jobs stop at the next chunk boundary behind a final
-     * checkpoint, unstarted jobs are never claimed, and every
-     * unfinished result is marked interrupted.
+     * running jobs stop at the next chunk boundary, unstarted jobs
+     * are never claimed, and every unfinished result is marked
+     * interrupted.  The pool keeps nothing on disk; a run that must
+     * survive a crash or be resumed goes through upc780_campaign
+     * (driver/campaign.hh).
      *
      * @return Results in job order, independent of completion order.
      */
     std::vector<ExperimentResult>
     run(const std::vector<SimJob> &jobs) const;
 
-    /**
-     * Run all jobs and merge them into a weighted composite.  The
-     * merge applies each job's weight; since the merged quantities
-     * are commutative counter sums, the composite is bit-identical
-     * to a serial run at any worker count.
-     *
-     * Failed and interrupted jobs are excluded from the merge: the
-     * composite is
-     * renormalized over the surviving parts (loudly warned), so the
-     * absolute totals cover the survivors only while ratio-style
-     * stats (CPI, miss ratios) remain comparable.
-     */
+    /** Run all jobs and merge them with mergeComposite(): the
+     *  reference composite every other path (campaign, benches) must
+     *  match byte for byte. */
     CompositeResult runComposite(const std::vector<SimJob> &jobs) const;
 
     /**
@@ -215,8 +194,22 @@ class SimPool
     unsigned workers_;
     bool progress_;
     bool strict_;
-    CheckpointConfig checkpoint_;
 };
+
+/**
+ * Merge per-job results (in job order) into the weighted composite.
+ * The merge applies each job's weight; since the merged quantities
+ * are commutative counter sums, the composite is bit-identical to a
+ * serial run at any worker count and from any source of results.
+ *
+ * Failed and interrupted jobs are excluded from the merge: the
+ * composite is renormalized over the surviving parts (loudly
+ * warned), so the absolute totals cover the survivors only while
+ * ratio-style stats (CPI, miss ratios) remain comparable.  Every
+ * result stays in parts, marker included, for the caller to report.
+ */
+CompositeResult mergeComposite(const std::vector<SimJob> &jobs,
+                               std::vector<ExperimentResult> results);
 
 /** The paper's five workloads as a job list (weight 1 each). */
 std::vector<SimJob> compositeJobs(uint64_t cycles_per_experiment);
@@ -229,12 +222,28 @@ CompositeResult runCompositePooled(uint64_t cycles_per_experiment,
 /**
  * Strip a "--jobs N" / "--jobs=N" flag from argv (updating *argc) and
  * return N; returns def when the flag is absent.  0 means "one worker
- * per hardware core" everywhere a job count is accepted.
+ * per hardware core" everywhere a job count is accepted.  Anything
+ * but a non-negative integer is fatal.
  */
 unsigned parseJobsFlag(int *argc, char **argv, unsigned def = 0);
 
-/** The UPC780_JOBS environment variable, else def. */
+/** The UPC780_JOBS environment variable (empty = unset), else def;
+ *  garbage is fatal, as for --jobs. */
 unsigned envJobs(unsigned def = 0);
+
+/**
+ * Cycles per experiment for the bench harness: the UPC780_CYCLES
+ * environment variable (empty = unset), else def.  Anything but a
+ * positive integer is fatal.
+ */
+uint64_t benchCycles(uint64_t def = 2'000'000);
+
+/**
+ * Strip --watchdog-cycles N and --job-timeout SECONDS from argv and
+ * return them as RunLimits (zero fields = flag absent).  Malformed
+ * values are fatal, matching the --faults contract.
+ */
+RunLimits parseLimitsFlags(int *argc, char **argv);
 
 /**
  * Strip a valueless "--<name>" flag from argv (updating *argc, same

@@ -56,8 +56,8 @@ reportInterrupted(const char *what, unsigned unfinished,
     std::printf("*** INTERRUPTED: %s (%u job(s) unfinished); %s ***\n",
                 what, unfinished,
                 resumable ? "rerun with --resume to continue"
-                          : "add --checkpoint-dir to make runs "
-                            "resumable");
+                          : "use upc780_campaign for a resumable "
+                            "run");
     std::fflush(stdout);
     return exitCode;
 }

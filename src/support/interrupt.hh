@@ -2,13 +2,14 @@
  * @file
  * Graceful SIGINT/SIGTERM handling for long measurement runs.
  *
- * A pooled composite can spend minutes to hours simulating; before
- * this module existed, Ctrl-C threw every simulated cycle away.  Now
- * the drivers install a handler that only sets a flag; the experiment
- * loop polls it at its RTE poll boundary (every ~512 cycles), workers
- * drain to a final checkpoint, and the harness exits with the
- * conventional 128+SIGINT code after printing a loud INTERRUPTED
- * marker -- so an interrupted run is a resumable run, not a lost one.
+ * A composite can spend minutes to hours simulating; before this
+ * module existed, Ctrl-C threw every simulated cycle away.  Now the
+ * drivers install a handler that only sets a flag and poll it at
+ * chunk boundaries: SimPool workers stop and report the partial
+ * composite, campaign shards (driver/campaign.hh) drain behind a
+ * final checkpoint, and the harness exits with the conventional
+ * 128+SIGINT code after printing a loud INTERRUPTED marker -- so an
+ * interrupted campaign is a resumable one, not a lost one.
  *
  * The flag is process-global and sticky: once requested, every
  * experiment and pool in the process winds down.  Tests drive the
@@ -47,9 +48,9 @@ void reset();
  *
  *   *** INTERRUPTED: <what> (N job(s) unfinished); <hint> ***
  *
- * where the hint is "rerun with --resume to continue" when the run
- * was checkpointed (@p resumable) and "add --checkpoint-dir to make
- * runs resumable" otherwise.  @return exitCode (130), so callers can
+ * where the hint is "rerun with --resume to continue" for a campaign
+ * (@p resumable) and "use upc780_campaign for a resumable run" for
+ * everything else.  @return exitCode (130), so callers can
  * write `return interrupt::reportInterrupted(...)`.  Keeping the
  * format in one place is what lets scripts and the drill tests grep
  * for it across every tool.

@@ -3,7 +3,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 #include "cpu/cpu.hh"
 #include "os/vms.hh"
@@ -364,16 +363,6 @@ runComposite(uint64_t cycles_per_experiment)
         comp.parts.push_back(std::move(r));
     }
     return comp;
-}
-
-uint64_t
-benchCycles(uint64_t def)
-{
-    const char *env = std::getenv("UPC780_CYCLES");
-    if (!env)
-        return def;
-    uint64_t v = std::strtoull(env, nullptr, 0);
-    return v ? v : def;
 }
 
 } // namespace vax

@@ -70,10 +70,11 @@ struct ExperimentResult
     std::string error;   ///< SimError::what() of the final failure
     unsigned retries = 0; ///< retry attempts consumed (0 or 1)
     /** @} */
-    /** @{ Recovery cost (pool telemetry).  resumeCycle is the machine
+    /** @{ Recovery cost (telemetry).  resumeCycle is the machine
      *  cycle the successful attempt restarted from (0 = ran from the
-     *  beginning); retryWallSeconds is host time burned in attempts
-     *  that were thrown away.  interrupted marks a job abandoned by a
+     *  beginning; only campaign shards restore checkpoints);
+     *  retryWallSeconds is host time burned in attempts that were
+     *  thrown away.  interrupted marks a job abandoned by a
      *  graceful-drain request (its measurements are partial). */
     uint64_t resumeCycle = 0;
     double retryWallSeconds = 0.0;
@@ -97,11 +98,11 @@ struct RunLimits
     uint64_t watchdogCycles = 0;
     /** Wall-clock budget per experiment in seconds (0 = disabled). */
     double timeoutSeconds = 0.0;
-    /** Recovery drill: deliberately raise a SimError at the first
-     *  poll at or after this cycle (0 = disabled).  Models a
-     *  transient host-side failure; the pool's checkpointed retry
-     *  clears it, which is how the checkpoint/recovery tests drive
-     *  the resume path deterministically. */
+    /** Failure drill: deliberately raise a SimError at the first
+     *  poll at or after this cycle (0 = disabled).  The drill is part
+     *  of the job, so every attempt re-trips it: the pool's seed
+     *  retry fails again, and the campaign's poison-job drill uses it
+     *  to drive the quarantine path. */
     uint64_t tripCycle = 0;
 };
 
@@ -143,9 +144,6 @@ class Experiment
     bool done() const { return cpu_.cycles() >= cycles_; }
     uint64_t cycle() const { return cpu_.cycles(); }
     uint64_t budget() const { return cycles_; }
-
-    /** Disarm a pending recovery drill (checkpointed retry path). */
-    void clearTrip() { limits_.tripCycle = 0; }
 
     /** @{ Whole-simulation checkpoint (valid between chunks). */
     void save(snap::Serializer &s) const;
@@ -229,12 +227,6 @@ CompositeResult runComposite(uint64_t cycles_per_experiment);
  */
 void registerCompositeStats(stats::Registry &r,
                             const CompositeResult &comp);
-
-/**
- * Cycles per experiment for the bench harness: the UPC780_CYCLES
- * environment variable if set, else the given default.
- */
-uint64_t benchCycles(uint64_t def = 2'000'000);
 
 } // namespace vax
 

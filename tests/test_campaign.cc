@@ -10,16 +10,12 @@
  * fail-soft .result ingestion, the poison-job quarantine, and the
  * exit-2 flag-validation contract.
  *
- * The drill tests drive the real upc780_campaign binary (path baked
- * in as UPC780_CAMPAIGN_BIN, overridable by the environment variable
- * of the same name) so the fork/exec supervisor, the claim protocol
- * and the SIGKILL recovery run exactly as they do in production.
+ * The drill tests drive the real upc780_campaign binary through the
+ * helpers in campaign_drill.hh, and compare against the same job list
+ * run through SimPool::runComposite in this process.
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -30,116 +26,13 @@
 #include <gtest/gtest.h>
 
 #include "driver/campaign.hh"
-#include "driver/checkpoint.hh"
-#include "driver/sim_pool.hh"
 #include "support/snapshot.hh"
+#include "tests/campaign_drill.hh"
 #include "workload/experiments.hh"
 #include "workload/profile.hh"
 
 using namespace vax;
-
-namespace
-{
-
-/** Fresh scratch directory, pid-qualified so a discovered gtest case
- *  and its aggregate ctest entry can run concurrently under -j. */
-std::string
-scratchDir(const char *name)
-{
-    std::string dir = ::testing::TempDir() + "upc780_campaign_" +
-        name + "_" + std::to_string(static_cast<long>(::getpid()));
-    std::string cmd = "rm -rf '" + dir + "'";
-    (void)!std::system(cmd.c_str());
-    return dir;
-}
-
-/** The campaign binary under test. */
-std::string
-campaignBin()
-{
-    if (const char *env = std::getenv("UPC780_CAMPAIGN_BIN"))
-        return env;
-#ifdef UPC780_CAMPAIGN_BIN
-    return UPC780_CAMPAIGN_BIN;
-#else
-    return "";
-#endif
-}
-
-/** Run the campaign binary; @return the raw wait() status. */
-int
-runTool(const std::string &args)
-{
-    std::string cmd = "'" + campaignBin() + "' " + args +
-        " > /dev/null 2>&1";
-    return std::system(cmd.c_str());
-}
-
-/** The drill campaigns' shared geometry: small enough to finish in
- *  well under a second per run, chunked enough (6 chunks/job) that a
- *  mid-job SIGKILL always lands between checkpoints. */
-std::string
-drillArgs(const std::string &spool)
-{
-    return "--spool '" + spool + "' --shards 2 --cycles 90000 "
-           "--checkpoint-interval 15000 --heartbeat-interval 0.2 "
-           "--heartbeat-timeout 5 --backoff-base 0.05 "
-           "--backoff-cap 0.2";
-}
-
-std::string
-slurp(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
-}
-
-/** The uninterrupted run's stats dump (computed once per process):
- *  the same job list through SimPool threads via --in-process, which
- *  the pool determinism tests already pin to the serial run. */
-const std::string &
-referenceStatsJson()
-{
-    static std::string bytes = [] {
-        std::string dir = scratchDir("reference");
-        std::string json = dir + ".json";
-        int st = runTool(drillArgs(dir) + " --in-process "
-                         "--stats-json '" + json + "'");
-        EXPECT_TRUE(WIFEXITED(st) && WEXITSTATUS(st) == 0);
-        std::string b = slurp(json);
-        EXPECT_FALSE(b.empty());
-        return b;
-    }();
-    return bytes;
-}
-
-/** Build a mutable argv for CampaignConfig::parseFlags. */
-struct Argv
-{
-    explicit Argv(std::initializer_list<const char *> args)
-    {
-        strings.emplace_back("upc780_campaign");
-        for (const char *a : args)
-            strings.emplace_back(a);
-        for (std::string &s : strings)
-            ptrs.push_back(s.data());
-        ptrs.push_back(nullptr);
-        argc = static_cast<int>(strings.size());
-    }
-
-    std::vector<std::string> strings;
-    std::vector<char *> ptrs;
-    int argc;
-
-    CampaignConfig parse()
-    {
-        return CampaignConfig::parseFlags(&argc, ptrs.data());
-    }
-};
-
-} // anonymous namespace
+using namespace vax::drill;
 
 // ---------------------------------------------------------------
 // Flag validation: usage + exit 2, never a different fleet.
@@ -223,7 +116,7 @@ TEST(CampaignFlags, ShardModeRequiresShardId)
 
 TEST(CampaignSpool, TokenRoundTripAndDamage)
 {
-    std::string dir = scratchDir("token");
+    std::string dir = scratchDir("campaign_token");
     ASSERT_EQ(::mkdir(dir.c_str(), 0777), 0);
     std::string path = dir + "/job000";
 
@@ -253,7 +146,7 @@ TEST(CampaignSpool, TokenRoundTripAndDamage)
 
 TEST(CampaignSpool, ClaimByRenameIsExclusive)
 {
-    std::string dir = scratchDir("claim");
+    std::string dir = scratchDir("campaign_claim");
     ASSERT_EQ(::mkdir(dir.c_str(), 0777), 0);
     std::string todo = dir + "/job000";
     ASSERT_TRUE(writeJobTokenFile(todo, JobToken()));
@@ -282,7 +175,7 @@ TEST(CampaignSpool, BackoffDoublesAndCaps)
 
 TEST(CampaignSpool, HeartbeatAge)
 {
-    std::string dir = scratchDir("hb");
+    std::string dir = scratchDir("campaign_hb");
     ASSERT_EQ(::mkdir(dir.c_str(), 0777), 0);
     std::string hb = dir + "/shard0.hb";
     EXPECT_LT(heartbeatAgeSeconds(hb), 0.0); // missing
@@ -316,7 +209,7 @@ TEST(CampaignSpool, JobListIsDeterministicAcrossProcesses)
 
 TEST(CampaignResultIngestion, DamagedResultReadsAsUnfinished)
 {
-    std::string dir = scratchDir("ingest");
+    std::string dir = scratchDir("campaign_ingest");
     ASSERT_EQ(::mkdir(dir.c_str(), 0777), 0);
     std::string path = dir + "/job000-x.result";
 
@@ -356,7 +249,9 @@ TEST(CampaignResultIngestion, DamagedResultReadsAsUnfinished)
 TEST(CampaignDrill, FleetMatchesInProcessByteForByte)
 {
     ASSERT_FALSE(campaignBin().empty());
-    std::string dir = scratchDir("fleet");
+    // A clean fleet must write the bytes SimPool::runComposite gives
+    // for the same job list in this process.
+    std::string dir = scratchDir("campaign_fleet");
     std::string json = dir + ".json";
     int st = runTool(drillArgs(dir) + " --stats-json '" + json + "'");
     ASSERT_TRUE(WIFEXITED(st) && WEXITSTATUS(st) == 0);
@@ -369,7 +264,7 @@ TEST(CampaignDrill, KillDrillByteIdentity)
     // Shard 0 SIGKILLs itself two chunks into its first job; the
     // supervisor must reap it, reclaim the claim, respawn, and finish
     // with the uninterrupted run's exact stats dump.
-    std::string dir = scratchDir("kill");
+    std::string dir = scratchDir("campaign_kill");
     std::string json = dir + ".json";
     int st = runTool(drillArgs(dir) +
                      " --drill-shard0-die-after-chunks 2 "
@@ -384,7 +279,7 @@ TEST(CampaignDrill, SupervisorDeathResumeIdentity)
     // The whole fleet -- supervisor included -- loses power once two
     // results exist; --resume restarts from the manifest + .result +
     // .ckpt files and must land on the identical dump.
-    std::string dir = scratchDir("resume");
+    std::string dir = scratchDir("campaign_resume");
     std::string json = dir + ".json";
     int st = runTool(drillArgs(dir) + " --drill-die-after-results 2 "
                      "--stats-json '" + json + "'");
@@ -404,7 +299,7 @@ TEST(CampaignDrill, PoisonJobQuarantinesAndCampaignSurvives)
     // quarantine/ and the campaign must still complete (exit 0) with
     // a renormalized survivor composite -- one poison job can cost
     // its own measurement, never the fleet's.
-    std::string dir = scratchDir("poison");
+    std::string dir = scratchDir("campaign_poison");
     std::string json = dir + ".json";
     int st = runTool(drillArgs(dir) + " --max-retries 2 "
                      "--drill-poison-job 1 --stats-json '" + json +
@@ -426,11 +321,11 @@ TEST(CampaignDrill, PoisonJobQuarantinesAndCampaignSurvives)
 TEST(CampaignDrill, FreshSpoolRefusesReuseWithoutResume)
 {
     ASSERT_FALSE(campaignBin().empty());
-    std::string dir = scratchDir("reuse");
-    int st = runTool(drillArgs(dir) + " --in-process");
+    std::string dir = scratchDir("campaign_reuse");
+    int st = runTool(drillArgs(dir));
     ASSERT_TRUE(WIFEXITED(st) && WEXITSTATUS(st) == 0);
     // Same spool again without --resume: refused (a stale .result
     // would silently skip work), fatal exit 1.
-    st = runTool(drillArgs(dir) + " --in-process");
+    st = runTool(drillArgs(dir));
     EXPECT_TRUE(WIFEXITED(st) && WEXITSTATUS(st) == 1);
 }

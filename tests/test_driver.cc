@@ -3,13 +3,17 @@
  * Parallel-driver and merge-layer tests: SimPool determinism against
  * the serial composite, merge-order independence, the weighted merge
  * operators, histogram CSV round-trips (including empty-name and
- * maximum-upc rows), and physical-access alignment symmetry.
+ * maximum-upc rows), physical-access alignment symmetry, and the
+ * fatal-on-garbage worker and cycle-count inputs.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
+#include <initializer_list>
 #include <string>
+#include <vector>
 
 #include "cpu/cpu.hh"
 #include "driver/sim_pool.hh"
@@ -314,6 +318,59 @@ TEST(SimPool, WorkerCountDoesNotChangeResults)
     ASSERT_EQ(one.size(), three.size());
     for (size_t i = 0; i < one.size(); ++i)
         expectHistogramsEqual(one[i].hist, three[i].hist);
+}
+
+namespace
+{
+
+/** parseJobsFlag over a mutable copy of @p args (after "prog"). */
+unsigned
+jobsFrom(std::initializer_list<const char *> args, unsigned def = 7)
+{
+    std::vector<std::string> strings = {"prog"};
+    strings.insert(strings.end(), args.begin(), args.end());
+    std::vector<char *> argv;
+    for (std::string &a : strings)
+        argv.push_back(a.data());
+    argv.push_back(nullptr);
+    int argc = static_cast<int>(strings.size());
+    return parseJobsFlag(&argc, argv.data(), def);
+}
+
+} // anonymous namespace
+
+TEST(PoolFlags, WorkerAndCycleInputsParse)
+{
+    EXPECT_EQ(jobsFrom({}), 7u);
+    EXPECT_EQ(jobsFrom({"--jobs", "3"}), 3u);
+    EXPECT_EQ(jobsFrom({"--jobs=0"}), 0u); // one worker per core
+    setenv("UPC780_JOBS", "", 1);          // empty means unset
+    EXPECT_EQ(envJobs(5), 5u);
+    setenv("UPC780_JOBS", "2", 1);
+    EXPECT_EQ(envJobs(5), 2u);
+    unsetenv("UPC780_JOBS");
+    setenv("UPC780_CYCLES", "", 1);
+    EXPECT_EQ(benchCycles(123), 123u);
+    unsetenv("UPC780_CYCLES");
+}
+
+TEST(PoolFlags, BadWorkerAndCycleInputsAreFatal)
+{
+    EXPECT_DEATH(jobsFrom({"--jobs=abc"}), "--jobs: 'abc' is not");
+    EXPECT_DEATH(jobsFrom({"--jobs=2x"}), "--jobs: '2x' is not");
+    EXPECT_DEATH(jobsFrom({"--jobs"}), "--jobs requires a value");
+    EXPECT_DEATH(
+        {
+            setenv("UPC780_JOBS", "banana", 1);
+            envJobs();
+        },
+        "UPC780_JOBS: 'banana' is not");
+    EXPECT_DEATH(
+        {
+            setenv("UPC780_CYCLES", "20k", 1);
+            benchCycles();
+        },
+        "UPC780_CYCLES: '20k' is not a positive count");
 }
 
 } // namespace vax::test

@@ -5,27 +5,41 @@
  * The correctness bar is byte-transparency: snapshot -> restore ->
  * run-to-end must be byte-identical to the uninterrupted run, for the
  * whole machine image (every component the snapshot covers), with and
- * without fault injection in flight.  On top sit the recovery paths:
- * pool retries resuming from the last checkpoint, --resume of an
- * interrupted composite, and the fail-loud handling of corrupt,
- * truncated and version-mismatched snapshot files.
+ * without fault injection in flight.  On top sit the recovery paths,
+ * driven through the campaign binary (the one durable-resume path):
+ * a crashed shard's job resuming from its last checkpoint, --resume
+ * of a killed or interrupted campaign, and the fail-loud handling of
+ * corrupt, truncated and version-mismatched snapshot files.  The
+ * pool's own seed retry and graceful drain are tested here too.
  */
 
+#include <csignal>
 #include <cstdio>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include <dirent.h>
+#include <spawn.h>
+#include <sys/stat.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
-#include "driver/checkpoint.hh"
+#include "driver/campaign.hh"
 #include "driver/sim_pool.hh"
 #include "support/faultinject.hh"
 #include "support/interrupt.hh"
 #include "support/snapshot.hh"
+#include "tests/campaign_drill.hh"
 #include "workload/experiments.hh"
 #include "workload/profile.hh"
 
+extern char **environ;
+
 using namespace vax;
+using namespace vax::drill;
 
 namespace
 {
@@ -72,14 +86,52 @@ poolVms()
     return vms;
 }
 
-/** Fresh per-test scratch directory under the gtest temp root. */
-std::string
-scratchDir(const char *name)
+/** The per-job lines of a Chrome trace (writeChromeTrace's format:
+ *  one slice per job, in job order). */
+std::vector<std::string>
+jobLines(const std::string &trace)
 {
-    std::string dir = ::testing::TempDir() + "upc780_" + name;
-    std::string cmd = "rm -rf '" + dir + "'";
-    (void)!std::system(cmd.c_str());
-    return dir;
+    std::vector<std::string> lines;
+    std::istringstream in(trace);
+    for (std::string line; std::getline(in, line);)
+        if (line.find("\"ph\":\"X\"") != std::string::npos)
+            lines.push_back(line);
+    return lines;
+}
+
+/** Integer arg @p key of a trace line; 0 when absent (the trace only
+ *  carries recovery args that are nonzero). */
+uint64_t
+traceArg(const std::string &line, const std::string &key)
+{
+    size_t at = line.find("\"" + key + "\":");
+    if (at == std::string::npos)
+        return 0;
+    return std::strtoull(line.c_str() + at + key.size() + 3, nullptr,
+                         10);
+}
+
+/** Every shard log in @p spool, concatenated. */
+std::string
+shardLogs(const std::string &spool)
+{
+    std::string all;
+    DIR *d = ::opendir((spool + "/logs").c_str());
+    for (struct dirent *e; d && (e = ::readdir(d));)
+        if (e->d_name[0] != '.')
+            all += slurp(spool + "/logs/" + e->d_name);
+    if (d)
+        ::closedir(d);
+    return all;
+}
+
+/** What a campaign killed mid-run leaves in a spool before any job
+ *  finished: the manifest (job checkpoints are the caller's). */
+void
+plantKilledSpool(const std::string &spool)
+{
+    ASSERT_EQ(::mkdir(spool.c_str(), 0777), 0);
+    writeManifest(spool, campaignJobs(drillConfig(spool)));
 }
 
 } // anonymous namespace
@@ -373,34 +425,36 @@ TEST(ExperimentSnapshot, FaultInjectorPresenceIsAFingerprint)
 }
 
 // ---------------------------------------------------------------
-// Pool-level checkpointed recovery.
+// Checkpointed recovery, through the campaign binary.
 // ---------------------------------------------------------------
 
 TEST(CheckpointRecovery, DrillRetryResumesFromCheckpoint)
 {
-    CheckpointConfig ck;
-    ck.dir = scratchDir("drill");
-    ck.intervalCycles = 20'000;
+    ASSERT_FALSE(campaignBin().empty());
+    // Shard 0 SIGKILLs itself right after its second checkpoint.  The
+    // job's retry must restore that checkpoint -- not replay from the
+    // seed -- and the measurement must not change.
+    std::string dir = scratchDir("ckpt_drill");
+    std::string json = dir + ".json";
+    std::string trace = dir + ".trace.json";
+    int st = runTool(drillArgs(dir) +
+                     " --drill-shard0-die-after-chunks 2 "
+                     "--stats-json '" + json + "' --perfetto '" +
+                     trace + "'");
+    ASSERT_TRUE(WIFEXITED(st) && WEXITSTATUS(st) == 0);
+    EXPECT_EQ(slurp(json), referenceStatsJson());
 
-    SimJob job = SimJob::forProfile(allProfiles()[0], 90'000);
-    SimJob drilled = job;
-    drilled.limits.tripCycle = 50'000;
-
-    SimPool pool(1);
-    std::vector<ExperimentResult> clean = pool.run({job});
-    ASSERT_FALSE(clean[0].failed);
-
-    pool.setCheckpoint(ck);
-    std::vector<ExperimentResult> recovered = pool.run({drilled});
-    ASSERT_FALSE(recovered[0].failed);
-    EXPECT_EQ(recovered[0].retries, 1u);
-    // The kept attempt restarted from a checkpoint past cycle 0 but
-    // before the drill tripped.
-    EXPECT_GT(recovered[0].resumeCycle, 0u);
-    EXPECT_LT(recovered[0].resumeCycle, 50'000u);
-    EXPECT_GE(recovered[0].retryWallSeconds, 0.0);
-    // Recovery must not change the measurement.
-    EXPECT_EQ(resultBytes(clean[0]), resultBytes(recovered[0]));
+    unsigned retried = 0;
+    for (const std::string &line : jobLines(slurp(trace))) {
+        if (!traceArg(line, "retries"))
+            continue;
+        ++retried;
+        EXPECT_EQ(traceArg(line, "retries"), 1u) << line;
+        EXPECT_GT(traceArg(line, "resumeCycle"), 0u) << line;
+        EXPECT_LT(traceArg(line, "resumeCycle"), drillConfig().cycles)
+            << line;
+    }
+    EXPECT_EQ(retried, 1u) << slurp(trace);
 }
 
 TEST(CheckpointRecovery, DrillWithoutCheckpointStaysFailed)
@@ -418,116 +472,123 @@ TEST(CheckpointRecovery, DrillWithoutCheckpointStaysFailed)
 
 TEST(CheckpointRecovery, ResumeSkipsCompletedJobs)
 {
-    CheckpointConfig ck;
-    ck.dir = scratchDir("resume_done");
-    ck.intervalCycles = 20'000;
+    ASSERT_FALSE(campaignBin().empty());
+    // --resume of a finished spool re-simulates nothing: every
+    // .result keeps its inode and mtime, and the merge writes the
+    // same bytes again.
+    std::string dir = scratchDir("ckpt_resume_done");
+    std::string json = dir + ".json";
+    int st = runTool(drillArgs(dir) + " --stats-json '" + json + "'");
+    ASSERT_TRUE(WIFEXITED(st) && WEXITSTATUS(st) == 0);
+    std::string first = slurp(json);
+    EXPECT_EQ(first, referenceStatsJson());
 
-    std::vector<SimJob> jobs = {
-        SimJob::forProfile(allProfiles()[0], 60'000),
-        SimJob::forProfile(allProfiles()[1], 60'000),
-    };
-    SimPool pool(1);
-    pool.setCheckpoint(ck);
-    std::vector<ExperimentResult> first = pool.run(jobs);
-    ASSERT_TRUE(fileExists(resultPath(ck, 0, jobs[0].profile.name)));
-    ASSERT_TRUE(fileExists(resultPath(ck, 1, jobs[1].profile.name)));
+    std::vector<SimJob> jobs = campaignJobs(drillConfig(dir));
+    std::vector<struct stat> before(jobs.size());
+    for (size_t i = 0; i < jobs.size(); ++i)
+        ASSERT_EQ(::stat(resultPath(dir, i, jobs[i].profile.name)
+                             .c_str(),
+                         &before[i]),
+                  0);
 
-    ck.resume = true;
-    pool.setCheckpoint(ck);
-    std::vector<ExperimentResult> again = pool.run(jobs);
-    EXPECT_EQ(resultBytes(first[0]), resultBytes(again[0]));
-    EXPECT_EQ(resultBytes(first[1]), resultBytes(again[1]));
+    ASSERT_EQ(::unlink(json.c_str()), 0);
+    st = runTool(drillArgs(dir) + " --resume --stats-json '" + json +
+                 "'");
+    ASSERT_TRUE(WIFEXITED(st) && WEXITSTATUS(st) == 0);
+    EXPECT_EQ(slurp(json), first);
+    for (size_t i = 0; i < jobs.size(); ++i) {
+        struct stat after;
+        ASSERT_EQ(::stat(resultPath(dir, i, jobs[i].profile.name)
+                             .c_str(),
+                         &after),
+                  0);
+        EXPECT_EQ(after.st_ino, before[i].st_ino) << "job " << i;
+        EXPECT_EQ(after.st_mtim.tv_sec, before[i].st_mtim.tv_sec)
+            << "job " << i;
+        EXPECT_EQ(after.st_mtim.tv_nsec, before[i].st_mtim.tv_nsec)
+            << "job " << i;
+    }
 }
 
 TEST(CheckpointRecovery, ResumeContinuesFromMidRunCheckpoint)
 {
-    CheckpointConfig ck;
-    ck.dir = scratchDir("resume_mid");
-    ck.intervalCycles = 20'000;
-    ensureCheckpointDir(ck);
-
-    SimJob job = SimJob::forProfile(allProfiles()[2], 80'000);
-    std::vector<SimJob> jobs = {job};
-
-    // Simulate the killed run: a mid-run checkpoint under the name
-    // the pool will look for, plus the manifest.
-    writeManifest(ck, jobs);
+    ASSERT_FALSE(campaignBin().empty());
+    // A campaign killed while job 2 stood at cycle 33 000: the
+    // manifest plus that job's rolling checkpoint.  --resume must
+    // continue job 2 from the checkpoint.
+    std::string dir = scratchDir("ckpt_resume_mid");
+    ASSERT_NO_FATAL_FAILURE(plantKilledSpool(dir));
+    SimJob job = campaignJobs(drillConfig(dir))[2];
     Experiment exp(job.profile, job.cycles, job.sim, job.vms,
                    job.limits);
     exp.runChunk(33'000);
-    ASSERT_FALSE(exp.done());
-    ASSERT_TRUE(exp.saveFile(
-        checkpointPath(ck, 0, job.profile.name)));
+    ASSERT_EQ(exp.cycle(), 33'000u);
+    ASSERT_TRUE(exp.saveFile(checkpointPath(dir, 2, job.profile.name)));
 
-    ck.resume = true;
-    SimPool pool(1);
-    pool.setCheckpoint(ck);
-    std::vector<ExperimentResult> resumed = pool.run(jobs);
-    ASSERT_FALSE(resumed[0].failed);
-    EXPECT_EQ(resumed[0].resumeCycle, exp.cycle());
-
-    SimPool plain(1);
-    std::vector<ExperimentResult> clean = plain.run(jobs);
-    EXPECT_EQ(resultBytes(clean[0]), resultBytes(resumed[0]));
+    std::string json = dir + ".json";
+    std::string trace = dir + ".trace.json";
+    int st = runTool(drillArgs(dir) + " --resume --stats-json '" +
+                     json + "' --perfetto '" + trace + "'");
+    ASSERT_TRUE(WIFEXITED(st) && WEXITSTATUS(st) == 0);
+    EXPECT_EQ(slurp(json), referenceStatsJson());
+    std::vector<std::string> lines = jobLines(slurp(trace));
+    ASSERT_EQ(lines.size(), 5u) << slurp(trace);
+    for (size_t i = 0; i < lines.size(); ++i)
+        EXPECT_EQ(traceArg(lines[i], "resumeCycle"),
+                  i == 2 ? 33'000u : 0u)
+            << lines[i];
 }
 
 TEST(CheckpointRecovery, CorruptCheckpointFallsBackToSeed)
 {
-    CheckpointConfig ck;
-    ck.dir = scratchDir("corrupt");
-    ck.intervalCycles = 20'000;
-    ensureCheckpointDir(ck);
-
-    SimJob job = SimJob::forProfile(allProfiles()[0], 60'000);
-    std::vector<SimJob> jobs = {job};
-    writeManifest(ck, jobs);
-    std::string cpath = checkpointPath(ck, 0, job.profile.name);
-    std::FILE *f = std::fopen(cpath.c_str(), "wb");
+    ASSERT_FALSE(campaignBin().empty());
+    // A garbage checkpoint costs the saved cycles, never the job:
+    // the shard says so and restarts the job from its seed.
+    std::string dir = scratchDir("ckpt_corrupt");
+    ASSERT_NO_FATAL_FAILURE(plantKilledSpool(dir));
+    SimJob job = campaignJobs(drillConfig(dir))[0];
+    std::FILE *f = std::fopen(
+        checkpointPath(dir, 0, job.profile.name).c_str(), "wb");
     ASSERT_NE(f, nullptr);
     std::fputs("not a snapshot", f);
     std::fclose(f);
 
-    ck.resume = true;
-    SimPool pool(1);
-    pool.setCheckpoint(ck);
-    std::vector<ExperimentResult> r = pool.run(jobs);
-    ASSERT_FALSE(r[0].failed);
-    EXPECT_EQ(r[0].resumeCycle, 0u); // restarted from the seed
-
-    SimPool plain(1);
-    std::vector<ExperimentResult> clean = plain.run(jobs);
-    EXPECT_EQ(resultBytes(clean[0]), resultBytes(r[0]));
+    std::string json = dir + ".json";
+    std::string trace = dir + ".trace.json";
+    int st = runTool(drillArgs(dir) + " --resume --stats-json '" +
+                     json + "' --perfetto '" + trace + "'");
+    ASSERT_TRUE(WIFEXITED(st) && WEXITSTATUS(st) == 0);
+    EXPECT_NE(shardLogs(dir).find("unusable"), std::string::npos);
+    EXPECT_EQ(traceArg(jobLines(slurp(trace)).at(0), "resumeCycle"),
+              0u);
+    EXPECT_EQ(slurp(json), referenceStatsJson());
 }
 
 TEST(CheckpointRecovery, ResumeAgainstDifferentCompositeIsFatal)
 {
-    CheckpointConfig ck;
-    ck.dir = scratchDir("manifest");
-    ck.intervalCycles = 20'000;
+    ASSERT_FALSE(campaignBin().empty());
+    std::string dir = scratchDir("ckpt_manifest");
+    int st = runTool(drillArgs(dir));
+    ASSERT_TRUE(WIFEXITED(st) && WEXITSTATUS(st) == 0);
 
-    std::vector<SimJob> jobs = {
-        SimJob::forProfile(allProfiles()[0], 30'000)};
-    SimPool pool(1);
-    pool.setCheckpoint(ck);
-    (void)pool.run(jobs);
-
-    std::vector<SimJob> other = {
-        SimJob::forProfile(allProfiles()[0], 40'000)};
-    ck.resume = true;
-    pool.setCheckpoint(ck);
-    EXPECT_DEATH((void)pool.run(other), "cycle budget");
+    // Same spool, another cycle budget: the manifest refuses it.
+    std::string log = dir + ".resume.log";
+    st = runTool(drillArgs(dir) + " --resume --cycles 120000", log);
+    EXPECT_TRUE(WIFEXITED(st) && WEXITSTATUS(st) == 1)
+        << "wait status " << st;
+    EXPECT_NE(slurp(log).find("cycle budget"), std::string::npos)
+        << slurp(log);
 }
 
 TEST(CheckpointRecovery, ResultFileRoundTrip)
 {
-    CheckpointConfig ck;
-    ck.dir = scratchDir("resultfile");
-    ensureCheckpointDir(ck);
+    std::string dir = scratchDir("ckpt_resultfile");
+    ASSERT_EQ(::mkdir(dir.c_str(), 0777), 0);
     SimJob job = SimJob::forProfile(allProfiles()[3], 40'000);
     ExperimentResult r = runJob(job);
     r.retries = 1;
     r.resumeCycle = 12'345;
-    std::string path = resultPath(ck, 0, job.profile.name);
+    std::string path = resultPath(dir, 0, job.profile.name);
     ASSERT_TRUE(writeResultFile(path, r));
 
     ExperimentResult back;
@@ -539,7 +600,7 @@ TEST(CheckpointRecovery, ResultFileRoundTrip)
 
     ExperimentResult missing;
     EXPECT_FALSE(
-        readResultFile(ck.dir + "/no-such.result", &missing));
+        readResultFile(dir + "/no-such.result", &missing));
 }
 
 // ---------------------------------------------------------------
@@ -589,64 +650,65 @@ TEST(InterruptDrain, InterruptedPartsStayOutOfTheComposite)
 
 TEST(InterruptDrain, DrainedRunResumesToTheIdenticalResult)
 {
-    interrupt::reset();
-    CheckpointConfig ck;
-    ck.dir = scratchDir("drain_resume");
-    ck.intervalCycles = 10'000;
+    ASSERT_FALSE(campaignBin().empty());
+    // SIGTERM a running campaign once shard 0 has beaten and some job
+    // has written its first checkpoint (20 per job): the shards drain
+    // behind their checkpoints, the supervisor exits 130 with the
+    // INTERRUPTED marker, and --resume finishes with the clean bytes,
+    // continuing at least one job from where the drain left it.
+    std::string dir = scratchDir("ckpt_drain");
+    CampaignConfig cfg = drillConfig(dir);
+    cfg.cycles = 2'000'000;
+    cfg.intervalCycles = 100'000;
+    std::string args = drillArgs(dir) +
+        " --cycles 2000000 --checkpoint-interval 100000";
+    std::string log = dir + ".drain.log";
+    std::string cmd =
+        "exec '" + campaignBin() + "' " + args + " > '" + log + "' 2>&1";
+    const char *sh_argv[] = {"sh", "-c", cmd.c_str(), nullptr};
+    pid_t pid = 0;
+    ASSERT_EQ(::posix_spawn(&pid, "/bin/sh", nullptr, nullptr,
+                            const_cast<char **>(sh_argv), environ),
+              0);
 
-    std::vector<SimJob> jobs = {
-        SimJob::forProfile(allProfiles()[0], 60'000),
-        SimJob::forProfile(allProfiles()[1], 60'000),
+    std::vector<SimJob> jobs = campaignJobs(cfg);
+    auto midRun = [&] {
+        if (!fileExists(campaignHeartbeatPath(cfg, 0)))
+            return false;
+        for (size_t i = 0; i < jobs.size(); ++i)
+            if (fileExists(checkpointPath(dir, i, jobs[i].profile.name)))
+                return true;
+        return false;
     };
+    int status = 0;
+    pid_t reaped = 0;
+    for (int ms = 0; ms < 120'000 && !reaped && !midRun(); ms += 2) {
+        ::usleep(2'000);
+        reaped = ::waitpid(pid, &status, WNOHANG);
+    }
+    ASSERT_EQ(reaped, 0) << "campaign ended before the signal\n"
+                         << slurp(log);
+    ASSERT_EQ(::kill(pid, SIGTERM), 0);
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    EXPECT_TRUE(WIFEXITED(status) &&
+                WEXITSTATUS(status) == interrupt::exitCode)
+        << "wait status " << status << "\n" << slurp(log);
+    EXPECT_NE(slurp(log).find("*** INTERRUPTED"), std::string::npos)
+        << slurp(log);
 
-    // "Kill" the run before it starts job 1: the manifest and (for
-    // this variant) zero checkpoints are on disk, exactly like a
-    // drain that hit before any interval elapsed.
-    interrupt::request();
-    SimPool pool(1);
-    pool.setCheckpoint(ck);
-    std::vector<ExperimentResult> drained = pool.run(jobs);
-    interrupt::reset();
-    EXPECT_TRUE(drained[0].interrupted);
-
-    ck.resume = true;
-    pool.setCheckpoint(ck);
-    std::vector<ExperimentResult> resumed = pool.run(jobs);
-    ASSERT_FALSE(resumed[0].interrupted);
-    ASSERT_FALSE(resumed[1].interrupted);
-
-    SimPool plain(1);
-    std::vector<ExperimentResult> clean = plain.run(jobs);
-    EXPECT_EQ(resultBytes(clean[0]), resultBytes(resumed[0]));
-    EXPECT_EQ(resultBytes(clean[1]), resultBytes(resumed[1]));
+    std::string json = dir + ".json";
+    std::string trace = dir + ".trace.json";
+    int st = runTool(args + " --resume --stats-json '" + json +
+                     "' --perfetto '" + trace + "'");
+    ASSERT_TRUE(WIFEXITED(st) && WEXITSTATUS(st) == 0);
+    EXPECT_EQ(slurp(json), compositeStatsJson(cfg));
+    EXPECT_NE(slurp(trace).find("\"resumeCycle\":"), std::string::npos)
+        << slurp(trace);
 }
 
 // ---------------------------------------------------------------
 // Flag parsing (typo-fatal contract).
 // ---------------------------------------------------------------
-
-TEST(CheckpointFlags, ParseAndStrip)
-{
-    const char *argv_in[] = {"prog",
-                             "--checkpoint-dir", "/tmp/ck",
-                             "--checkpoint-interval=125000",
-                             "--resume",
-                             "positional", nullptr};
-    int argc = 6;
-    char *argv[7];
-    for (int i = 0; i < argc; ++i)
-        argv[i] = const_cast<char *>(argv_in[i]);
-    argv[argc] = nullptr;
-
-    CheckpointConfig ck = CheckpointConfig::parseFlags(&argc, argv);
-    EXPECT_TRUE(ck.enabled());
-    EXPECT_EQ(ck.dir, "/tmp/ck");
-    EXPECT_EQ(ck.intervalCycles, 125'000u);
-    EXPECT_TRUE(ck.resume);
-    // Only the positional operand survives the strip.
-    ASSERT_EQ(argc, 2);
-    EXPECT_STREQ(argv[1], "positional");
-}
 
 TEST(CheckpointFlags, LimitsParseAndStrip)
 {
@@ -673,18 +735,8 @@ TEST(CheckpointFlags, TyposAreFatal)
             argv.push_back(const_cast<char *>(a));
         argv.push_back(nullptr);
         int argc = static_cast<int>(argv.size()) - 1;
-        (void)CheckpointConfig::parseFlags(&argc, argv.data());
         (void)parseLimitsFlags(&argc, argv.data());
     };
-    EXPECT_DEATH(parse({"--checkpoint-interval=bogus",
-                        "--checkpoint-dir=/tmp/x"}),
-                 "not a positive count");
-    EXPECT_DEATH(parse({"--checkpoint-interval=0",
-                        "--checkpoint-dir=/tmp/x"}),
-                 "not a positive count");
-    EXPECT_DEATH(parse({"--resume"}), "--checkpoint-dir");
-    EXPECT_DEATH(parse({"--checkpoint-interval=1000"}),
-                 "--checkpoint-dir");
     EXPECT_DEATH(parse({"--job-timeout=-3"}), "not a positive");
     EXPECT_DEATH(parse({"--watchdog-cycles"}), "requires a value");
 }

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "driver/sim_pool.hh"
 #include "upc/analyzer.hh"
 #include "workload/codegen.hh"
 #include "workload/experiments.hh"
