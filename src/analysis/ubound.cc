@@ -1,6 +1,7 @@
 #include "analysis/ubound.hh"
 
-#include "analysis/ujson.hh"
+#include "analysis/ulint.hh"
+#include "support/ujson.hh"
 
 #include <algorithm>
 #include <limits>
@@ -26,18 +27,6 @@ uboundCheckName(UBoundCheck c)
 
 namespace
 {
-
-const char *
-specClassName(SpecAccClass c)
-{
-    switch (c) {
-      case SpecAccClass::Read:   return "Read";
-      case SpecAccClass::Write:  return "Write";
-      case SpecAccClass::Modify: return "Modify";
-      case SpecAccClass::Addr:   return "Addr";
-      default:                   return "?";
-    }
-}
 
 /** True when executing this word can leave the flow (exit the path
  *  the bound is being computed over). */
@@ -182,7 +171,7 @@ UBoundAnalysis::computeFlow(UAddr entry, const std::string &rootName,
     // ---- Per-word costs (callee ranges folded in) and local edges.
     std::vector<uint64_t> locost(m), hicost(m);
     std::vector<char> isExit(m, 0), selfLoop(m, 0);
-    std::vector<std::vector<uint32_t>> succ(m);
+    std::vector<std::vector<UAddr>> succ(m);
     for (size_t i = 0; i < m; ++i) {
         const UAddr a = nodes[i];
         const UFlow &f = cs_.flow(a);
@@ -205,7 +194,7 @@ UBoundAnalysis::computeFlow(UAddr entry, const std::string &rootName,
 
         auto edge = [&](UAddr t) {
             if (t < n && local[t] >= 0) {
-                succ[i].push_back(static_cast<uint32_t>(local[t]));
+                succ[i].push_back(static_cast<UAddr>(local[t]));
                 if (static_cast<size_t>(local[t]) == i)
                     selfLoop[i] = 1;
             }
@@ -278,57 +267,12 @@ UBoundAnalysis::computeFlow(UAddr entry, const std::string &rootName,
     // ---- Worst case: SCC condensation, loop SCCs expanded to their
     // annotated bound, then the longest path over the DAG.
     //
-    // Iterative Tarjan rooted at the entry (every node is reachable
-    // from it, so one DFS covers the graph and the entry's component
-    // gets the highest id; successors always have smaller ids).
-    std::vector<int> comp(m, -1), index(m, -1), low(m, 0);
-    std::vector<char> onStack(m, 0);
-    std::vector<uint32_t> stack;
-    int nextIndex = 0, compCount = 0;
-    struct Frame
-    {
-        uint32_t v;
-        size_t child;
-    };
-    std::vector<Frame> dfs;
-    for (size_t root = 0; root < m; ++root) {
-        if (index[root] >= 0)
-            continue;
-        dfs.push_back({static_cast<uint32_t>(root), 0});
-        while (!dfs.empty()) {
-            Frame &f = dfs.back();
-            uint32_t v = f.v;
-            if (f.child == 0) {
-                index[v] = low[v] = nextIndex++;
-                stack.push_back(v);
-                onStack[v] = 1;
-            }
-            if (f.child < succ[v].size()) {
-                uint32_t w = succ[v][f.child++];
-                if (index[w] < 0) {
-                    dfs.push_back({w, 0});
-                } else if (onStack[w]) {
-                    low[v] = std::min(low[v], index[w]);
-                }
-                continue;
-            }
-            if (low[v] == index[v]) {
-                uint32_t w;
-                do {
-                    w = stack.back();
-                    stack.pop_back();
-                    onStack[w] = 0;
-                    comp[w] = compCount;
-                } while (w != v);
-                ++compCount;
-            }
-            dfs.pop_back();
-            if (!dfs.empty()) {
-                uint32_t p = dfs.back().v;
-                low[p] = std::min(low[p], low[v]);
-            }
-        }
-    }
+    // Rooted at the entry (every node is reachable from it, so one DFS
+    // covers the graph and the entry's component gets the highest id;
+    // successors always have smaller ids).
+    const SccResult scc = tarjanScc(succ);
+    const std::vector<int> &comp = scc.comp;
+    const int compCount = scc.count;
 
     std::vector<char> cyclic(compCount, 0), compExit(compCount, 0);
     std::vector<uint64_t> compSum(compCount, 0);

@@ -1,6 +1,6 @@
 #include "analysis/ulint.hh"
 
-#include "analysis/ujson.hh"
+#include "support/ujson.hh"
 
 #include <algorithm>
 #include <array>
@@ -29,9 +29,6 @@ lintCheckName(LintCheck c)
     }
 }
 
-namespace
-{
-
 const char *
 specClassName(SpecAccClass c)
 {
@@ -43,6 +40,68 @@ specClassName(SpecAccClass c)
       default:                   return "?";
     }
 }
+
+SccResult
+tarjanScc(const std::vector<std::vector<UAddr>> &succ)
+{
+    const size_t n = succ.size();
+    SccResult r;
+    r.comp.assign(n, -1);
+    std::vector<int> index(n, -1), low(n, 0);
+    std::vector<char> on_stack(n, 0);
+    std::vector<uint32_t> stack;
+    int next_index = 0;
+
+    struct Frame
+    {
+        uint32_t v;
+        size_t child;
+    };
+    std::vector<Frame> dfs;
+
+    for (size_t root = 0; root < n; ++root) {
+        if (index[root] >= 0)
+            continue;
+        dfs.push_back({static_cast<uint32_t>(root), 0});
+        while (!dfs.empty()) {
+            Frame &f = dfs.back();
+            uint32_t v = f.v;
+            if (f.child == 0) {
+                index[v] = low[v] = next_index++;
+                stack.push_back(v);
+                on_stack[v] = 1;
+            }
+            if (f.child < succ[v].size()) {
+                uint32_t w = succ[v][f.child++];
+                if (index[w] < 0) {
+                    dfs.push_back({w, 0});
+                } else if (on_stack[w]) {
+                    low[v] = std::min(low[v], index[w]);
+                }
+                continue;
+            }
+            if (low[v] == index[v]) {
+                uint32_t w;
+                do {
+                    w = stack.back();
+                    stack.pop_back();
+                    on_stack[w] = 0;
+                    r.comp[w] = r.count;
+                } while (w != v);
+                ++r.count;
+            }
+            dfs.pop_back();
+            if (!dfs.empty()) {
+                uint32_t p = dfs.back().v;
+                low[p] = std::min(low[p], low[v]);
+            }
+        }
+    }
+    return r;
+}
+
+namespace
+{
 
 std::string
 addrStr(UAddr a)
@@ -141,72 +200,6 @@ enumerateSlots(const EntryPoints &ep)
             ep.exec[f], used, flow_row[f]);
     }
     return slots;
-}
-
-/** Iterative Tarjan SCC; returns the component id of each node. */
-struct SccResult
-{
-    std::vector<int> comp;
-    int count = 0;
-};
-
-SccResult
-tarjanScc(const std::vector<std::vector<UAddr>> &succ)
-{
-    const size_t n = succ.size();
-    SccResult r;
-    r.comp.assign(n, -1);
-    std::vector<int> index(n, -1), low(n, 0);
-    std::vector<char> on_stack(n, 0);
-    std::vector<uint32_t> stack;
-    int next_index = 0;
-
-    struct Frame
-    {
-        uint32_t v;
-        size_t child;
-    };
-    std::vector<Frame> dfs;
-
-    for (size_t root = 0; root < n; ++root) {
-        if (index[root] >= 0)
-            continue;
-        dfs.push_back({static_cast<uint32_t>(root), 0});
-        while (!dfs.empty()) {
-            Frame &f = dfs.back();
-            uint32_t v = f.v;
-            if (f.child == 0) {
-                index[v] = low[v] = next_index++;
-                stack.push_back(v);
-                on_stack[v] = 1;
-            }
-            if (f.child < succ[v].size()) {
-                uint32_t w = succ[v][f.child++];
-                if (index[w] < 0) {
-                    dfs.push_back({w, 0});
-                } else if (on_stack[w]) {
-                    low[v] = std::min(low[v], index[w]);
-                }
-                continue;
-            }
-            if (low[v] == index[v]) {
-                uint32_t w;
-                do {
-                    w = stack.back();
-                    stack.pop_back();
-                    on_stack[w] = 0;
-                    r.comp[w] = r.count;
-                } while (w != v);
-                ++r.count;
-            }
-            dfs.pop_back();
-            if (!dfs.empty()) {
-                uint32_t p = dfs.back().v;
-                low[p] = std::min(low[p], low[v]);
-            }
-        }
-    }
-    return r;
 }
 
 } // anonymous namespace

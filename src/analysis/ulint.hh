@@ -120,6 +120,27 @@ LintReport lintControlStore(const ControlStore &cs);
 void regLintStats(const LintReport &rep, stats::Registry &r,
                   const std::string &prefix = "lint");
 
+/** @{ Shared with the bound analysis (ubound). */
+
+/** "Read", "Write", "Modify" or "Addr". */
+const char *specClassName(SpecAccClass c);
+
+/** Strongly connected components: the component id of each node. */
+struct SccResult
+{
+    std::vector<int> comp;
+    int count = 0;
+};
+
+/**
+ * Iterative Tarjan over successor lists, rooted at each unvisited node
+ * in index order.  A component gets its id when the DFS closes it, so
+ * every edge leads to the same or a smaller id (reverse topological
+ * order), and a graph reachable from node 0 puts node 0 in the highest.
+ */
+SccResult tarjanScc(const std::vector<std::vector<UAddr>> &succ);
+/** @} */
+
 } // namespace vax
 
 #endif // UPC780_ANALYSIS_ULINT_HH

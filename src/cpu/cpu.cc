@@ -1,7 +1,5 @@
 #include "cpu/cpu.hh"
 
-#include <cstdlib>
-
 #include "analysis/ulint.hh"
 #include "support/logging.hh"
 #include "support/sim_error.hh"
@@ -25,7 +23,7 @@ Cpu780::Cpu780(const SimConfig &cfg)
     // Likewise let guarded-execution errors name the microword that
     // was executing when they fired.
     guard::setMicroPc(ebox_->upcPtr());
-    if (cfg_.strict || std::getenv("UPC780_STRICT") != nullptr) {
+    if (cfg_.strict || envStrict()) {
         LintReport lint = lintControlStore(cs_);
         if (!lint.clean())
             panic("strict mode: the microcode verifier found %zu "

@@ -43,9 +43,9 @@ struct SimConfig
      * Strict mode: run the static microcode verifier at construction
      * (panic on any diagnostic) and validate every executed
      * micro-transition against the declared flows.  Also enabled by
-     * the UPC780_STRICT environment variable.  Not part of the
-     * snapshot fingerprint: it changes what is checked, never what is
-     * simulated.
+     * the UPC780_STRICT environment variable (envStrict()).  Not part
+     * of the snapshot fingerprint: it changes what is checked, never
+     * what is simulated.
      */
     bool strict = false;
 };
@@ -83,11 +83,9 @@ class Cpu780
     bool halted() const { return ebox_->halted(); }
     uint64_t cycles() const { return hw_.cycles; }
 
-    /** @{ Attach the UPC monitor (devirtualized, batched fast path)
-     *  or any generic cycle sink (virtual per-cycle calls). */
-    void setCycleSink(CycleSink *sink) { ebox_->setCycleSink(sink); }
+    /** Attach the UPC monitor (null detaches); the EBOX counts every
+     *  cycle straight into its banks. */
     void setCycleSink(UpcMonitor *mon) { ebox_->setCycleSink(mon); }
-    /** @} */
 
     /** Register the whole machine's statistics under prefix
      *  (hardware counters, CPI, memory subsystem). */

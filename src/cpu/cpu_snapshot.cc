@@ -178,10 +178,6 @@ Ebox::save(snap::Serializer &s) const
         s.putU32(f.va);
     };
 
-    // The cycle batch is monitor data, not EBOX state: bank it now so
-    // the snapshot never has counts in flight.
-    flushCycleBatch();
-
     // Sequencer and architectural state.
     s.putU8(static_cast<uint8_t>(state_));
     s.putBool(halted_);
@@ -282,10 +278,6 @@ Ebox::restore(snap::Deserializer &d)
         f->va = d.getU32();
     };
 
-    // Counts batched before the restore were really simulated; bank
-    // them into the attached monitor before the state is replaced.
-    flushCycleBatch();
-
     state_ = static_cast<State>(d.getU8());
     halted_ = d.getBool();
     upc_ = d.getU16();
@@ -376,10 +368,6 @@ Ebox::restore(snap::Deserializer &d)
         lat.mm[i] = d.getU32();
     for (unsigned i = 0; i < 4; ++i)
         lat.alg[i] = d.getU32();
-
-    // The restore may land with a different monitor/trace context
-    // than the one the snapshot was taken under.
-    refreshBatchOn();
 }
 
 // ====================== Cpu780 ======================

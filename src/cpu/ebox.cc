@@ -21,34 +21,19 @@ Ebox::Ebox(const ControlStore &cs, MemSystem &mem, InstructionBuffer &ib,
 
 Ebox::~Ebox()
 {
-    if (mon_) {
-        flushCycleBatch();
-        mon_->detachEbox(this);
-    }
-}
-
-void
-Ebox::setCycleSink(CycleSink *sink)
-{
-    flushCycleBatch();
     if (mon_)
         mon_->detachEbox(this);
-    mon_ = nullptr;
-    sink_ = sink;
-    refreshBatchOn();
 }
 
 void
 Ebox::setCycleSink(UpcMonitor *mon)
 {
-    flushCycleBatch();
     if (mon_ && mon_ != mon)
         mon_->detachEbox(this);
     mon_ = mon;
-    sink_ = mon;
     if (mon)
         mon->attachEbox(this);
-    refreshBatchOn();
+    pointMonitorBanks();
 }
 
 void
@@ -56,46 +41,21 @@ Ebox::detachMonitor(UpcMonitor *mon)
 {
     if (mon_ != mon)
         return;
-    // The monitor's destructor synced before detaching; anything still
-    // batched has nowhere to go.
-    batchN_ = 0;
     mon_ = nullptr;
-    sink_ = nullptr;
-    batchOn_ = false;
+    pointMonitorBanks();
 }
 
 void
-Ebox::setFlowCheck(bool on)
+Ebox::pointMonitorBanks()
 {
-    flowCheck_ = on;
-    refreshBatchOn();
-}
-
-void
-Ebox::refreshBatchOn()
-{
-    // collecting() folds the monitor's CSR into the one flag the
-    // per-cycle path tests; UpcMonitor::start/stop/restore call back
-    // here whenever it changes.  A stopped monitor drops to the
-    // virtual count(), which discards.
-    batchOn_ = mon_ && mon_->collecting() && !flowCheck_ &&
-               !trace::anyEnabled();
-}
-
-void
-Ebox::flushCycleBatch() const
-{
-    if (batchN_ == 0)
-        return;
-    mon_->applyBatch(batch_, batchN_);
-    batchN_ = 0;
+    bool on = mon_ && mon_->collecting();
+    normalBank_ = on ? mon_->bankData(false) : nullptr;
+    stalledBank_ = on ? mon_->bankData(true) : nullptr;
 }
 
 void
 Ebox::reset(VirtAddr pc, CpuMode mode)
 {
-    flushCycleBatch();
-    refreshBatchOn();
     psl_ = Psl();
     psl_.cur = mode;
     psl_.ipl = mode == CpuMode::Kernel ? 31 : 0;
@@ -117,11 +77,6 @@ Ebox::setGpr(unsigned r, uint32_t v)
 UAddr
 Ebox::endTarget()
 {
-    // Instruction boundary: drain the batched counts and re-sample the
-    // cached fast-path flag (the trace mask can change between
-    // instructions; CSR start/stop is handled per record).
-    flushCycleBatch();
-    refreshBatchOn();
     // Machine checks outrank interrupts: a latched hardware error is
     // dispatched at the first instruction boundary, before any device.
     if (mem_.machineCheckPending()) {
@@ -343,7 +298,6 @@ Ebox::runMicroword()
 
     emitCycle(upc_, false);
     if (halted_) [[unlikely]] {
-        flushCycleBatch();
         state_ = State::Halted;
         return;
     }

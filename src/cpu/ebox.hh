@@ -3,9 +3,10 @@
  * The EBOX: the 11/780's microcoded execution engine.
  *
  * Each machine cycle either executes the microinstruction at the
- * current micro-PC or is a stall (read, write or IB).  Every cycle is
- * reported to the attached CycleSink with its micro-address -- the
- * measurement surface of the UPC histogram monitor.
+ * current micro-PC or is a stall (read, write or IB).  Every cycle
+ * increments the attached UPC monitor's normal or stalled bank at its
+ * micro-address, in the cycle it happens -- the measurement surface of
+ * the UPC histogram monitor.
  *
  * Microcode conventions (enforced by the services below):
  *  - IB requests (decodeOpcode / decodeSpec / ibGet) must be the first
@@ -29,7 +30,6 @@
 #include "arch/opcodes.hh"
 #include "arch/specifiers.hh"
 #include "arch/types.hh"
-#include "cpu/cycle_sink.hh"
 #include "support/bitutil.hh"
 #include "support/logging.hh"
 #include "support/trace.hh"
@@ -133,29 +133,19 @@ class Ebox
          HwCounters &hw);
     ~Ebox();
 
-    /** @{ Attach/detach the per-cycle count consumer.  The UpcMonitor
-     *  overload selects the devirtualized fast path: the EBOX banks
-     *  cycle counts into a small batch and the monitor applies them in
-     *  bulk at instruction boundaries (DESIGN.md §9).  The generic
-     *  overload keeps the virtual CycleSink interface for test sinks. */
-    void setCycleSink(CycleSink *sink);
+    /** Attach the UPC monitor (null detaches).  While it collects,
+     *  every cycle increments one of its banks directly (DESIGN.md
+     *  §9), so its banks are exact between any two cycles. */
     void setCycleSink(UpcMonitor *mon);
-    /** @} */
 
     /** Called by ~UpcMonitor: a dying monitor must not leave the EBOX
-     *  holding a dangling fast-path pointer. */
+     *  holding pointers into its banks. */
     void detachMonitor(UpcMonitor *mon);
 
-    /**
-     * Drain the batched cycle counts into the attached monitor.  The
-     * batch can hold counts mid-instruction, so every monitor-side
-     * reader syncs through this before looking at its banks; const
-     * because reading totals is logically non-mutating.
-     */
-    void flushCycleBatch() const;
-
-    /** Batch-entry encoding shared with UpcMonitor::applyBatch. */
-    static constexpr uint32_t kCycleStallBit = 1u << 16;
+    /** Re-point the cached bank pointers at the attached monitor's
+     *  banks, or null them while it is stopped.  Public because
+     *  UpcMonitor::start, stop and restore call back here. */
+    void pointMonitorBanks();
 
     /** Optional per-instruction hook, fired at the decode cycle. */
     void
@@ -177,12 +167,6 @@ class Ebox
         }
         cycleSlow();
     }
-
-    /** Re-sample the cached "batch counts, skip trace tests" flag
-     *  (monitor attached and collecting, flow check off, no trace
-     *  channel enabled).  Public because UpcMonitor::start/stop call
-     *  back here when the CSR changes the collecting state. */
-    void refreshBatchOn();
 
     bool halted() const { return halted_; }
 
@@ -401,13 +385,14 @@ class Ebox
      * ControlStore::resolveFlows() to have run; words declared
      * flowTrapRet() are exempt (their resume point is a trap frame).
      */
-    void setFlowCheck(bool on);
+    void setFlowCheck(bool on) { flowCheck_ = on; }
+    bool flowCheck() const { return flowCheck_; }
 
     /** @{ Checkpoint/restore: the complete execution state -- PSL,
      *  GPRs, processor registers, micro-PC, decode latches, trap and
      *  micro-call stacks, in-flight memory-op bookkeeping.  The attached
-     *  sink and instruction hook are wiring, not state; the restoring
-     *  harness re-attaches them. */
+     *  monitor and instruction hook are wiring, not state; the
+     *  restoring harness re-attaches them. */
     void save(snap::Serializer &s) const;
     void restore(snap::Deserializer &d);
     /** @} */
@@ -461,23 +446,15 @@ class Ebox
     void cycleSlow();
 
     /**
-     * Count one cycle at a micro-address.  Runs once per machine
-     * cycle, so it is inline and test-light: batchOn_ pre-folds
-     * "monitor attached + CSR collecting + no flow check + no trace",
-     * leaving one predictable branch and a store on the hot path.
+     * Count one cycle at a micro-address: the UPC board's increment.
+     * Runs once per machine cycle, so it is inline; the bank pointers
+     * are both null unless a monitor is attached and collecting.
      */
     void
     emitCycle(UAddr upc, bool stalled)
     {
-        if (batchOn_) {
-            batch_[batchN_++] = static_cast<uint32_t>(upc) |
-                (stalled ? kCycleStallBit : 0u);
-            if (batchN_ == kBatchCap) [[unlikely]]
-                flushCycleBatch();
-            return;
-        }
-        if (sink_)
-            sink_->count(upc, stalled);
+        if (normalBank_)
+            ++(stalled ? stalledBank_ : normalBank_)[upc];
     }
 
     const ControlStore &cs_;
@@ -487,24 +464,24 @@ class Ebox
     InterruptController &intc_;
     IntervalTimer &timer_;
     HwCounters &hw_;
-    CycleSink *sink_ = nullptr;
-    UpcMonitor *mon_ = nullptr; ///< set iff sink_ is the UPC monitor
+    UpcMonitor *mon_ = nullptr;
+    /** @{ The attached monitor's banks while it collects, else null.
+     *  Its storage never moves (UpcMonitor is neither copyable nor
+     *  movable), and attach, detach, start, stop and restore re-point
+     *  them. */
+    uint64_t *normalBank_ = nullptr;
+    uint64_t *stalledBank_ = nullptr;
+    /** @} */
     std::function<void(VirtAddr, uint8_t)> instrHook_;
 
     /** @{ Decoded-dispatch fast path.  dtab_/dsize_ cache the control
      *  store's flat table (stable: the ROM is fully built before the
-     *  EBOX is constructed).  The batch defers monitor increments to
-     *  instruction boundaries; mutable because a const reader's sync
-     *  (flushCycleBatch) drains it. */
+     *  EBOX is constructed). */
     const DecodedWord *dtab_;
     UAddr dsize_;
     /** Cached opcodeTable().data(): skips the function-local-static
      *  guard check on the per-instruction decode path. */
     const OpcodeInfo *optab_;
-    bool batchOn_ = false;
-    static constexpr uint32_t kBatchCap = 128;
-    mutable uint32_t batchN_ = 0;
-    mutable uint32_t batch_[kBatchCap];
     /** @} */
 
     State state_ = State::Halted;

@@ -32,13 +32,6 @@ secondsSince(Clock::time_point t0)
     return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-bool
-envProgress()
-{
-    const char *env = std::getenv("UPC780_PROGRESS");
-    return env && *env && std::strcmp(env, "0") != 0;
-}
-
 /** One complete heartbeat line in a single fwrite (workers race). */
 void
 emitHeartbeat(size_t done, size_t total, double elapsed)
@@ -256,7 +249,7 @@ runJob(const SimJob &job)
 
 SimPool::SimPool(unsigned workers)
     : workers_(workers ? workers : hardwareWorkers()),
-      progress_(envProgress()), strict_(envStrict())
+      progress_(envFlag("UPC780_PROGRESS")), strict_(envStrict())
 {
 }
 
@@ -595,13 +588,6 @@ parseBoolFlag(int *argc, char **argv, const char *name)
     argv[out] = nullptr;
     *argc = out;
     return found;
-}
-
-bool
-envStrict()
-{
-    const char *env = std::getenv("UPC780_STRICT");
-    return env && *env && std::strcmp(env, "0") != 0;
 }
 
 } // namespace vax

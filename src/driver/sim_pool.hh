@@ -251,9 +251,6 @@ RunLimits parseLimitsFlags(int *argc, char **argv);
  */
 bool parseBoolFlag(int *argc, char **argv, const char *name);
 
-/** True when the UPC780_STRICT environment variable is set non-zero. */
-bool envStrict();
-
 } // namespace vax
 
 #endif // UPC780_DRIVER_SIM_POOL_HH

@@ -1,11 +1,20 @@
 #include "support/sim_error.hh"
 
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 
 #include "support/trace.hh"
 
 namespace vax
 {
+
+bool
+envFlag(const char *name)
+{
+    const char *env = std::getenv(name);
+    return env && *env && std::strcmp(env, "0") != 0;
+}
 
 const char *
 simErrorCauseName(SimErrorCause c)

@@ -40,6 +40,14 @@ enum class SimErrorCause : uint8_t {
 /** Printable cause name ("panic", "watchdog", ...). */
 const char *simErrorCauseName(SimErrorCause c);
 
+/** True when environment variable name is set to a non-empty value
+ *  other than "0". */
+bool envFlag(const char *name);
+
+/** UPC780_STRICT as an envFlag: strict mode for Cpu780 (ROM lint and
+ *  per-cycle flow check) and for SimPool (fail-fast jobs). */
+inline bool envStrict() { return envFlag("UPC780_STRICT"); }
+
 /**
  * A structured, catchable simulation failure.  what() is the fully
  * formatted one-line description; the individual fields are kept for

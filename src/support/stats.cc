@@ -5,6 +5,7 @@
 
 #include "support/iofault.hh"
 #include "support/logging.hh"
+#include "support/ujson.hh"
 
 namespace vax::stats
 {
@@ -157,24 +158,6 @@ csvQuote(const std::string &s)
     return out;
 }
 
-/** JSON string escape (names/descs are plain ASCII in practice). */
-std::string
-jsonQuote(const std::string &s)
-{
-    std::string out = "\"";
-    for (char c : s) {
-        switch (c) {
-          case '"':  out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:   out += c; break;
-        }
-    }
-    out += '"';
-    return out;
-}
-
 } // anonymous namespace
 
 std::string
@@ -198,13 +181,13 @@ Registry::dumpJson() const
     std::string out = "{\n  \"stats\": [\n";
     size_t i = 0;
     for (const auto &[name, stat] : stats_) {
-        out += "    {\"name\": ";
-        out += jsonQuote(name);
-        out += ", \"value\": ";
+        out += "    {\"name\": \"";
+        out += ujson::escape(name);
+        out += "\", \"value\": ";
         out += formatValue(stat);
-        out += ", \"desc\": ";
-        out += jsonQuote(stat.desc);
-        out += '}';
+        out += ", \"desc\": \"";
+        out += ujson::escape(stat.desc);
+        out += "\"}";
         if (++i < stats_.size())
             out += ',';
         out += '\n';

@@ -1,4 +1,4 @@
-#include "analysis/ujson.hh"
+#include "support/ujson.hh"
 
 #include <cstdarg>
 #include <cstdio>

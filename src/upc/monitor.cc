@@ -95,15 +95,12 @@ Histogram::restore(snap::Deserializer &d)
         throw snap::SnapshotError(
             "snapshot: histogram bank size mismatch (snapshot from a "
             "different control-store capacity)");
-    normal = std::move(n);
-    stalled = std::move(st);
+    std::copy(n.begin(), n.end(), normal.begin());
+    std::copy(st.begin(), st.end(), stalled.begin());
 }
 
 UpcMonitor::~UpcMonitor()
 {
-    // Bank anything still batched, then make sure the EBOX drops its
-    // fast-path pointer to this board.
-    sync();
     if (ebox_)
         ebox_->detachMonitor(this);
 }
@@ -111,9 +108,6 @@ UpcMonitor::~UpcMonitor()
 void
 UpcMonitor::save(snap::Serializer &s) const
 {
-    // Checkpoint chunks can end mid-instruction; the banks must
-    // include every cycle simulated so far.
-    sync();
     s.beginSection("upc.monitor");
     hist_.save(s);
     s.putBool(collecting_);
@@ -123,45 +117,11 @@ UpcMonitor::save(snap::Serializer &s) const
 void
 UpcMonitor::restore(snap::Deserializer &d)
 {
-    sync();
     d.beginSection("upc.monitor");
     hist_.restore(d);
-    collecting_ = d.getBool();
+    // The restored CSR state may differ from the pre-restore one.
+    setCollecting(d.getBool());
     d.endSection();
-    // The restored CSR state may differ from the pre-restore one; the
-    // EBOX's cached fast-path flag folds it in.
-    if (ebox_)
-        ebox_->refreshBatchOn();
-}
-
-void
-UpcMonitor::regStats(stats::Registry &r, const std::string &prefix) const
-{
-    // Same names and meanings as Histogram::regStats, but syncing the
-    // EBOX batch before each read so dump-time totals are exact.
-    const UpcMonitor *m = this;
-    r.addScalar(prefix + ".normalCycles",
-                "cycles counted in the normal bank", [m] {
-                    m->sync();
-                    return m->hist_.normalCycles();
-                });
-    r.addScalar(prefix + ".stalledCycles",
-                "cycles counted in the stalled bank", [m] {
-                    m->sync();
-                    return m->hist_.stalledCycles();
-                });
-    r.addScalar(prefix + ".cycles", "total cycles recorded", [m] {
-        m->sync();
-        return m->hist_.cycles();
-    });
-    r.addFormula(prefix + ".stallFraction",
-                 "fraction of recorded cycles that were stalls", [m] {
-                     m->sync();
-                     uint64_t total = m->hist_.cycles();
-                     return total ? double(m->hist_.stalledCycles()) /
-                             double(total)
-                                  : 0.0;
-                 });
 }
 
 void
@@ -179,9 +139,6 @@ UpcMonitor::count(UAddr upc, bool stalled)
 void
 UpcMonitor::clear()
 {
-    // Counts batched before the clear command belong to the cleared
-    // epoch: bank them first so they are wiped, not replayed later.
-    sync();
     std::fill(hist_.normal.begin(), hist_.normal.end(), 0);
     std::fill(hist_.stalled.begin(), hist_.stalled.end(), 0);
 }

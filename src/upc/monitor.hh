@@ -4,8 +4,10 @@
  *
  * A 16K-bucket histogram board with two count banks: one for normal
  * cycles and one for stalled cycles, indexed by the control-store
- * address driving the machine each cycle.  Completely passive: it
- * observes the micro-PC stream through the CycleSink interface and
+ * address driving the machine each cycle.  Completely passive: while
+ * it collects, the attached EBOX increments the bank at the micro-PC
+ * in every cycle, as the board's counters did, so the banks are exact
+ * at any moment and no reader has anything to drain first.  The board
  * never perturbs execution.
  *
  * As on the real machine, the board is a Unibus device: collection is
@@ -21,7 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "cpu/cycle_sink.hh"
 #include "cpu/ebox.hh"
 #include "support/logging.hh"
 #include "ucode/control_store.hh"
@@ -71,7 +72,8 @@ struct Histogram
     void regStats(stats::Registry &r, const std::string &prefix) const;
 
     /** @{ Checkpoint/restore.  Banks are mostly zeros for short
-     *  runs, so they are stored run-length encoded. */
+     *  runs, so they are stored run-length encoded.  restore() copies
+     *  into the existing banks, so pointers into them stay valid. */
     void save(snap::Serializer &s) const;
     void restore(snap::Deserializer &d);
     /** @} */
@@ -87,7 +89,7 @@ struct Histogram
 Histogram weightedComposite(const std::vector<const Histogram *> &parts,
                             const std::vector<uint64_t> &weights = {});
 
-class UpcMonitor : public CycleSink
+class UpcMonitor
 {
   public:
     /** CSR command values (written to the device register). */
@@ -95,15 +97,19 @@ class UpcMonitor : public CycleSink
     static constexpr uint32_t cmdStart = 1;
     static constexpr uint32_t cmdClear = 2;
 
-    ~UpcMonitor() override;
+    UpcMonitor() = default;
+    ~UpcMonitor();
+    /** Neither copyable nor movable: the attached EBOX holds pointers
+     *  into this board's banks. */
+    UpcMonitor(const UpcMonitor &) = delete;
+    UpcMonitor &operator=(const UpcMonitor &) = delete;
 
-    void count(UAddr upc, bool stalled) override;
+    /** Count one cycle by hand if collecting (the attached EBOX
+     *  increments the banks itself). */
+    void count(UAddr upc, bool stalled);
 
-    /** @{ EBOX fast-path wiring.  Ebox::setCycleSink(UpcMonitor *)
-     *  attaches the back pointer; the EBOX then banks cycle counts in
-     *  a batch and delivers them through applyBatch() at instruction
-     *  boundaries instead of one virtual call per cycle.  Every
-     *  reader syncs first, so the batching is unobservable. */
+    /** @{ EBOX wiring.  Ebox::setCycleSink(UpcMonitor *) attaches the
+     *  back pointer and caches bankData() while the board collects. */
     void
     attachEbox(Ebox *e)
     {
@@ -112,7 +118,8 @@ class UpcMonitor : public CycleSink
         ebox_ = e;
     }
 
-    /** Called by ~Ebox so the monitor never syncs a dead engine. */
+    /** Called by ~Ebox, and when another board takes over the EBOX,
+     *  so the monitor never calls back an engine it no longer feeds. */
     void
     detachEbox(const Ebox *e)
     {
@@ -120,80 +127,34 @@ class UpcMonitor : public CycleSink
             ebox_ = nullptr;
     }
 
-    /** Apply batched cycle records (upc | Ebox::kCycleStallBit each).
-     *  Records were taken while the CSR said collect, so they are
-     *  applied unconditionally. */
-    void
-    applyBatch(const uint32_t *recs, uint32_t n)
+    /** Storage of one bank; it stays put for the board's lifetime. */
+    uint64_t *
+    bankData(bool stalled)
     {
-        for (uint32_t i = 0; i < n; ++i) {
-            uint32_t rec = recs[i];
-            UAddr a = static_cast<UAddr>(rec & 0xFFFF);
-            upc_assert(a < ControlStore::capacity);
-            if (rec & Ebox::kCycleStallBit)
-                ++hist_.stalled[a];
-            else
-                ++hist_.normal[a];
-        }
-    }
-
-    /** Drain any batch the EBOX is holding into the banks. */
-    void
-    sync() const
-    {
-        if (ebox_)
-            ebox_->flushCycleBatch();
+        return (stalled ? hist_.stalled : hist_.normal).data();
     }
     /** @} */
 
     /** @{ Unibus command interface. */
-    void
-    start()
-    {
-        sync();
-        collecting_ = true;
-        if (ebox_)
-            ebox_->refreshBatchOn();
-    }
-    void
-    stop()
-    {
-        sync();
-        collecting_ = false;
-        if (ebox_)
-            ebox_->refreshBatchOn();
-    }
+    void start() { setCollecting(true); }
+    void stop() { setCollecting(false); }
     void clear();
     bool collecting() const { return collecting_; }
     /** CSR write decode (for the device-window hook). */
     void unibusWrite(uint32_t value);
     /** @} */
 
-    const Histogram &
-    histogram() const
+    const Histogram &histogram() const { return hist_; }
+
+    /** Register the board's histogram totals under prefix. */
+    void
+    regStats(stats::Registry &r, const std::string &prefix) const
     {
-        sync();
-        return hist_;
+        hist_.regStats(r, prefix);
     }
 
-    /** Register the board's histogram totals under prefix.  The
-     *  registered readers sync before totalling, so dumps taken while
-     *  a batch is in flight are exact. */
-    void regStats(stats::Registry &r, const std::string &prefix) const;
-
-    uint64_t
-    normalCount(UAddr a) const
-    {
-        sync();
-        return hist_.normal[a];
-    }
-
-    uint64_t
-    stalledCount(UAddr a) const
-    {
-        sync();
-        return hist_.stalled[a];
-    }
+    uint64_t normalCount(UAddr a) const { return hist_.normal[a]; }
+    uint64_t stalledCount(UAddr a) const { return hist_.stalled[a]; }
 
     /** @{ Checkpoint/restore: both banks and the collecting flag. */
     void save(snap::Serializer &s) const;
@@ -201,6 +162,15 @@ class UpcMonitor : public CycleSink
     /** @} */
 
   private:
+    /** Set the CSR's collect state and re-point the EBOX's banks. */
+    void
+    setCollecting(bool on)
+    {
+        collecting_ = on;
+        if (ebox_)
+            ebox_->pointMonitorBanks();
+    }
+
     Histogram hist_;
     bool collecting_ = true;
     Ebox *ebox_ = nullptr;

@@ -2,13 +2,13 @@
 
 #include <cctype>
 #include <cinttypes>
-#include <cstdarg>
 #include <cstring>
 #include <map>
 
 #include "cpu/cpu.hh"
 #include "support/sim_error.hh"
 #include "support/stats.hh"
+#include "support/ujson.hh"
 #include "upc/analyzer.hh"
 #include "upc/monitor.hh"
 
@@ -107,16 +107,7 @@ UcharReport::perCopyCycles(const UcharRow &r) const
 namespace
 {
 
-void
-appendf(std::string &s, const char *fmt, ...)
-{
-    char buf[512];
-    va_list ap;
-    va_start(ap, fmt);
-    std::vsnprintf(buf, sizeof(buf), fmt, ap);
-    va_end(ap);
-    s += buf;
-}
+using ujson::appendf;
 
 /** Per-copy delta of one raw field against the calibration run. */
 double
@@ -136,7 +127,7 @@ std::string
 ucharText(const UcharReport &rep)
 {
     std::string s;
-    appendf(s,
+    appendf(&s,
             "ucharacterize: per-opcode x specifier-mode "
             "characterization\n"
             "params: iters=%u unroll=%u (costs below are per "
@@ -146,26 +137,26 @@ ucharText(const UcharReport &rep)
             rep.params.iters, rep.params.unroll,
             rep.calibration.cycles, rep.calibration.instructions,
             rep.calibration.uwords);
-    appendf(s, "%-8s %-12s %2s %8s %8s %7s %7s %7s %7s %7s %7s\n",
+    appendf(&s, "%-8s %-12s %2s %8s %8s %7s %7s %7s %7s %7s %7s\n",
             "op", "mode", "n", "cyc", "uword", "compute", "read",
             "rstall", "write", "wstall", "ibstall");
     for (const auto &r : rep.rows) {
-        appendf(s, "%-8s %-12s %2u %8.2f %8.2f", r.op.c_str(),
+        appendf(&s, "%-8s %-12s %2u %8.2f %8.2f", r.op.c_str(),
                 r.mode.c_str(), r.ipc, rep.perCopyCycles(r),
                 perCopy(rep, r.run.uwords, rep.calibration.uwords));
         for (size_t c = 0; c < kNumCols; ++c)
-            appendf(s, " %7.2f",
+            appendf(&s, " %7.2f",
                     perCopy(rep, r.run.cols[c],
                             rep.calibration.cols[c]));
         s += '\n';
     }
-    appendf(s, "\n%zu variants measured, %zu skipped\n",
+    appendf(&s, "\n%zu variants measured, %zu skipped\n",
             rep.rows.size(), rep.skipped.size());
     if (!rep.skipped.empty()) {
         s += "\nskipped (no silent omissions -- every enumerated "
              "variant is accounted for):\n";
         for (const auto &k : rep.skipped)
-            appendf(s, "  %-8s %-12s %s\n", k.op.c_str(),
+            appendf(&s, "  %-8s %-12s %s\n", k.op.c_str(),
                     k.mode.c_str(), k.reason.c_str());
     }
     return s;
@@ -181,16 +172,16 @@ ucharCsv(const UcharReport &rep)
     }
     s += ",tb,cycles_per_copy\n";
     for (const auto &r : rep.rows) {
-        appendf(s, "%s,%s,%u,%" PRIu64 ",%" PRIu64 ",%" PRIu64,
+        appendf(&s, "%s,%s,%u,%" PRIu64 ",%" PRIu64 ",%" PRIu64,
                 r.op.c_str(), r.mode.c_str(), r.ipc, r.run.cycles,
                 r.run.instructions, r.run.uwords);
         for (size_t c = 0; c < kNumCols; ++c)
-            appendf(s, ",%" PRIu64, r.run.cols[c]);
-        appendf(s, ",%" PRIu64 ",%.4f\n", r.run.tbService,
+            appendf(&s, ",%" PRIu64, r.run.cols[c]);
+        appendf(&s, ",%" PRIu64 ",%.4f\n", r.run.tbService,
                 rep.perCopyCycles(r));
     }
     for (const auto &k : rep.skipped)
-        appendf(s, "%s,%s,skipped,\"%s\"\n", k.op.c_str(),
+        appendf(&s, "%s,%s,skipped,\"%s\"\n", k.op.c_str(),
                 k.mode.c_str(), k.reason.c_str());
     return s;
 }
@@ -199,31 +190,15 @@ namespace
 {
 
 void
-jsonEscape(std::string &s, const std::string &v)
-{
-    s += '"';
-    for (char c : v) {
-        switch (c) {
-          case '"':  s += "\\\""; break;
-          case '\\': s += "\\\\"; break;
-          case '\n': s += "\\n"; break;
-          case '\t': s += "\\t"; break;
-          default:   s += c; break;
-        }
-    }
-    s += '"';
-}
-
-void
 jsonRun(std::string &s, const UcharRun &run)
 {
-    appendf(s,
+    appendf(&s,
             "\"cycles\": %" PRIu64 ", \"instructions\": %" PRIu64
             ", \"uwords\": %" PRIu64,
             run.cycles, run.instructions, run.uwords);
     for (size_t c = 0; c < kNumCols; ++c)
-        appendf(s, ", \"%s\": %" PRIu64, kColKeys[c], run.cols[c]);
-    appendf(s, ", \"tb\": %" PRIu64, run.tbService);
+        appendf(&s, ", \"%s\": %" PRIu64, kColKeys[c], run.cols[c]);
+    appendf(&s, ", \"tb\": %" PRIu64, run.tbService);
 }
 
 } // anonymous namespace
@@ -232,7 +207,7 @@ std::string
 ucharJson(const UcharReport &rep)
 {
     std::string s;
-    appendf(s,
+    appendf(&s,
             "{\n  \"uchar_format\": 1,\n  \"iters\": %u,\n"
             "  \"unroll\": %u,\n  \"max_cycles\": %" PRIu64 ",\n",
             rep.params.iters, rep.params.unroll,
@@ -242,26 +217,21 @@ ucharJson(const UcharReport &rep)
     s += "},\n  \"rows\": [\n";
     for (size_t i = 0; i < rep.rows.size(); ++i) {
         const auto &r = rep.rows[i];
-        s += "    {\"op\": ";
-        jsonEscape(s, r.op);
-        s += ", \"mode\": ";
-        jsonEscape(s, r.mode);
-        appendf(s, ", \"ipc\": %u, ", r.ipc);
+        s += "    {\"op\": \"" + ujson::escape(r.op) + "\", \"mode\": \"" +
+            ujson::escape(r.mode) + '"';
+        appendf(&s, ", \"ipc\": %u, ", r.ipc);
         jsonRun(s, r.run);
         if (r.hasBounds)
-            appendf(s, ", \"bcc\": %" PRIu64 ", \"wcc\": %" PRIu64,
+            appendf(&s, ", \"bcc\": %" PRIu64 ", \"wcc\": %" PRIu64,
                     r.bcc, r.wcc);
         s += i + 1 < rep.rows.size() ? "},\n" : "}\n";
     }
     s += "  ],\n  \"skipped\": [\n";
     for (size_t i = 0; i < rep.skipped.size(); ++i) {
         const auto &k = rep.skipped[i];
-        s += "    {\"op\": ";
-        jsonEscape(s, k.op);
-        s += ", \"mode\": ";
-        jsonEscape(s, k.mode);
-        s += ", \"reason\": ";
-        jsonEscape(s, k.reason);
+        s += "    {\"op\": \"" + ujson::escape(k.op) + "\", \"mode\": \"" +
+            ujson::escape(k.mode) + "\", \"reason\": \"" +
+            ujson::escape(k.reason) + '"';
         s += i + 1 < rep.skipped.size() ? "},\n" : "}\n";
     }
     s += "  ]\n}\n";
@@ -339,6 +309,24 @@ struct JParser
                   case 'n':  *out += '\n'; break;
                   case 't':  *out += '\t'; break;
                   case 'r':  *out += '\r'; break;
+                  case 'u': {
+                    // ujson::escape writes other control characters
+                    // as \u00XX.
+                    unsigned v = 0;
+                    for (int i = 0; i < 4; ++i, ++p) {
+                        if (p >= end ||
+                            !std::isxdigit(static_cast<unsigned char>(*p)))
+                            return fail("bad escape");
+                        v = v * 16 +
+                            (std::isdigit(static_cast<unsigned char>(*p))
+                                 ? *p - '0'
+                                 : (*p | 0x20) - 'a' + 10);
+                    }
+                    if (v >= 0x80)
+                        return fail("unsupported escape");
+                    *out += static_cast<char>(v);
+                    break;
+                  }
                   default:   return fail("unsupported escape");
                 }
             } else {

@@ -19,22 +19,30 @@ namespace vax::test
 /** A CPU with a program loaded at a flat (unmapped) address. */
 struct BareMachine
 {
-    explicit BareMachine(uint32_t base = 0x1000)
+    explicit BareMachine(uint32_t base = 0x1000,
+                         const SimConfig &cfg = SimConfig())
         : asmblr(base)
     {
-        cpu = std::make_unique<Cpu780>();
+        cpu = std::make_unique<Cpu780>(cfg);
         cpu->mem().setMapEnable(false);
         cpu->setCycleSink(&monitor);
     }
 
-    /** Finish assembly, load, set SP, and run until HALT. */
-    bool
-    run(uint64_t max_cycles = 2'000'000, uint32_t sp = 0x20000)
+    /** Finish assembly, load, reset and set SP. */
+    void
+    load(uint32_t sp = 0x20000)
     {
         auto image = asmblr.finish();
         cpu->mem().phys().load(asmblr.base(), image);
         cpu->reset(asmblr.base());
         cpu->ebox().setGpr(SP, sp);
+    }
+
+    /** load(), then run until HALT. */
+    bool
+    run(uint64_t max_cycles = 2'000'000, uint32_t sp = 0x20000)
+    {
+        load(sp);
         return cpu->run(max_cycles);
     }
 

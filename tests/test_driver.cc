@@ -3,8 +3,9 @@
  * Parallel-driver and merge-layer tests: SimPool determinism against
  * the serial composite, merge-order independence, the weighted merge
  * operators, histogram CSV round-trips (including empty-name and
- * maximum-upc rows), physical-access alignment symmetry, and the
- * fatal-on-garbage worker and cycle-count inputs.
+ * maximum-upc rows), physical-access alignment symmetry, the
+ * fatal-on-garbage worker and cycle-count inputs, and the one reading
+ * of UPC780_STRICT.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 #include "cpu/cpu.hh"
 #include "driver/sim_pool.hh"
 #include "mem/mem_system.hh"
+#include "support/sim_error.hh"
 #include "ucode/rom.hh"
 #include "upc/analyzer.hh"
 #include "upc/hist_io.hh"
@@ -371,6 +373,34 @@ TEST(PoolFlags, BadWorkerAndCycleInputsAreFatal)
             benchCycles();
         },
         "UPC780_CYCLES: '20k' is not a positive count");
+}
+
+TEST(PoolFlags, StrictEnvironmentIsReadOneWay)
+{
+    // The machine's lint and flow check and the pool's fail-fast mode
+    // read UPC780_STRICT alike: only a non-empty value other than "0"
+    // turns strict mode on.
+    const char *prev = std::getenv("UPC780_STRICT");
+    const std::string saved = prev ? prev : "";
+    const struct
+    {
+        const char *value; ///< nullptr: unset
+        bool strict;
+    } cases[] = {{nullptr, false}, {"", false}, {"0", false}, {"1", true}};
+    for (const auto &c : cases) {
+        if (c.value)
+            setenv("UPC780_STRICT", c.value, 1);
+        else
+            unsetenv("UPC780_STRICT");
+        const char *shown = c.value ? c.value : "(unset)";
+        EXPECT_EQ(envStrict(), c.strict) << shown;
+        EXPECT_EQ(Cpu780().ebox().flowCheck(), c.strict) << shown;
+        EXPECT_EQ(SimPool(1).strict(), c.strict) << shown;
+    }
+    if (prev)
+        setenv("UPC780_STRICT", saved.c_str(), 1);
+    else
+        unsetenv("UPC780_STRICT");
 }
 
 } // namespace vax::test

@@ -1,19 +1,32 @@
 /**
  * @file
  * UPC monitor and analyzer unit tests: the Unibus command interface,
- * histogram accumulation, and analyzer classification rules on
- * synthetic histograms.
+ * histogram accumulation, the EBOX's per-cycle counting into the
+ * monitor's banks, and analyzer classification rules on synthetic
+ * histograms.
  */
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <type_traits>
+
 #include "cpu/cpu.hh"
+#include "support/trace.hh"
+#include "tests/sim_test_util.hh"
 #include "ucode/rom.hh"
 #include "upc/analyzer.hh"
 #include "upc/monitor.hh"
 
 namespace vax::test
 {
+
+// The attached EBOX holds raw pointers into a monitor's banks, so a
+// board must never be copied or moved out from under it.
+static_assert(!std::is_copy_constructible_v<UpcMonitor>);
+static_assert(!std::is_copy_assignable_v<UpcMonitor>);
+static_assert(!std::is_move_constructible_v<UpcMonitor>);
+static_assert(!std::is_move_assignable_v<UpcMonitor>);
 
 TEST(Monitor, CountsByBank)
 {
@@ -54,6 +67,174 @@ TEST(Monitor, HistogramAccumulation)
     EXPECT_EQ(a.stalled[3], 2u);
     EXPECT_EQ(a.normal[9], 5u);
     EXPECT_EQ(a.cycles(), 15u);
+}
+
+// ============ MonitorCounting: the EBOX's one count path ============
+
+namespace
+{
+
+/** An endless loop over a walking read and write, so normal, read-,
+ *  write- and IB-stall cycles all recur. */
+void
+assembleWalk(Assembler &a)
+{
+    a.instr(op::MOVL, {Operand::imm(0x8000), Operand::reg(R2)});
+    a.label("loop");
+    a.instr(op::MOVL, {Operand::regDef(R2), Operand::reg(R3)});
+    a.instr(op::MOVL, {Operand::reg(R3), Operand::disp(64, R2)});
+    a.instr(op::ADDL2, {Operand::imm(256), Operand::reg(R2)});
+    a.instr(op::BRW, {Operand::branch("loop")});
+}
+
+/** A halting version of the walk, 200 iterations. */
+void
+assembleFiniteWalk(Assembler &a)
+{
+    a.instr(op::MOVL, {Operand::imm(0x8000), Operand::reg(R2)});
+    a.instr(op::MOVL, {Operand::imm(200), Operand::reg(R4)});
+    a.label("loop");
+    a.instr(op::MOVL, {Operand::regDef(R2), Operand::reg(R3)});
+    a.instr(op::MOVL, {Operand::reg(R3), Operand::disp(64, R2)});
+    a.instr(op::ADDL2, {Operand::imm(256), Operand::reg(R2)});
+    a.instr(op::SOBGTR, {Operand::reg(R4), Operand::branch("loop")});
+    a.instr(op::HALT);
+}
+
+void
+tick(Cpu780 &cpu, int n)
+{
+    for (int i = 0; i < n; ++i)
+        cpu.tick();
+}
+
+} // anonymous namespace
+
+TEST(MonitorCounting, BanksEqualTheCycleCounterAfterEveryTick)
+{
+    BareMachine m;
+    assembleWalk(m.asmblr);
+    m.load();
+    const Histogram &h = m.monitor.histogram();
+    for (int i = 1; i <= 3000; ++i) {
+        m.cpu->tick();
+        ASSERT_EQ(h.cycles(), m.cpu->cycles()) << "after tick " << i;
+    }
+    // At several cycles per instruction most of those checks fell
+    // mid-instruction, and the stalled bank was exercised.
+    EXPECT_LT(3 * m.cpu->hw().instructions, m.cpu->cycles());
+    EXPECT_GT(h.stalledCycles(), 0u);
+}
+
+TEST(MonitorCounting, CsrStopAndStartCountExactlyTheCollectingCycles)
+{
+    BareMachine m;
+    assembleWalk(m.asmblr);
+    m.load();
+    // Irregular spans, so the CSR flips mid-instruction and mid-stall.
+    const int spans[] = {37, 11, 250, 3, 1, 1, 120, 77, 5, 64};
+    uint64_t expected = 0;
+    bool on = true;
+    for (int n : spans) {
+        m.monitor.unibusWrite(on ? UpcMonitor::cmdStart
+                                 : UpcMonitor::cmdStop);
+        tick(*m.cpu, n);
+        if (on)
+            expected += n;
+        EXPECT_EQ(m.monitor.histogram().cycles(), expected);
+        on = !on;
+    }
+    // Stopped now; a clear wipes the earlier counts and a start
+    // resumes counting from zero.
+    ASSERT_FALSE(m.monitor.collecting());
+    m.monitor.unibusWrite(UpcMonitor::cmdClear);
+    tick(*m.cpu, 9);
+    EXPECT_EQ(m.monitor.histogram().cycles(), 0u);
+    m.monitor.unibusWrite(UpcMonitor::cmdStart);
+    tick(*m.cpu, 13);
+    EXPECT_EQ(m.monitor.histogram().cycles(), 13u);
+}
+
+TEST(MonitorCounting, StrictAndTracedRunsCountLikeThePlainRun)
+{
+    BareMachine plain;
+    assembleFiniteWalk(plain.asmblr);
+    ASSERT_TRUE(plain.run());
+
+    SimConfig strict_cfg;
+    strict_cfg.strict = true;
+    BareMachine strict(0x1000, strict_cfg);
+    ASSERT_TRUE(strict.cpu->ebox().flowCheck());
+    assembleFiniteWalk(strict.asmblr);
+    ASSERT_TRUE(strict.run());
+
+    trace::BufferSink buf;
+    BareMachine traced;
+    assembleFiniteWalk(traced.asmblr);
+    {
+        struct RestoreMask
+        {
+            uint32_t saved = trace::g_mask;
+            ~RestoreMask() { trace::g_mask = saved; }
+        } restore;
+        trace::ScopedSink scoped(&buf);
+        trace::enableList("all");
+        ASSERT_TRUE(traced.run());
+    }
+    EXPECT_NE(buf.text().find(":idecode: "), std::string::npos);
+
+    const Histogram &want = plain.monitor.histogram();
+    EXPECT_EQ(want.cycles(), plain.cpu->cycles());
+    for (const BareMachine *m : {&strict, &traced}) {
+        EXPECT_EQ(m->cpu->cycles(), plain.cpu->cycles());
+        EXPECT_EQ(m->monitor.histogram().normal, want.normal);
+        EXPECT_EQ(m->monitor.histogram().stalled, want.stalled);
+    }
+}
+
+TEST(MonitorCounting, MonitorDestroyedBeforeItsMachine)
+{
+    BareMachine m;
+    assembleWalk(m.asmblr);
+    m.load();
+    auto mon = std::make_unique<UpcMonitor>();
+    m.cpu->setCycleSink(mon.get());
+    tick(*m.cpu, 500);
+    EXPECT_EQ(mon->histogram().cycles(), 500u);
+    // The dying board detaches itself: the EBOX must not touch its
+    // freed banks (ASan reports a use after free if it does).
+    mon.reset();
+    tick(*m.cpu, 500);
+    EXPECT_EQ(m.cpu->cycles(), 1000u);
+    EXPECT_EQ(m.monitor.histogram().cycles(), 0u);
+}
+
+TEST(MonitorCounting, SecondMonitorTakesOverTheCounting)
+{
+    BareMachine m;
+    assembleWalk(m.asmblr);
+    m.load();
+    tick(*m.cpu, 100);
+    UpcMonitor second;
+    m.cpu->setCycleSink(&second);
+    tick(*m.cpu, 50);
+    EXPECT_EQ(m.monitor.histogram().cycles(), 100u);
+    EXPECT_EQ(second.histogram().cycles(), 50u);
+    // The first board's CSR no longer steers this machine: stopping
+    // it does not stop the counting, and starting it does not bring
+    // the counts back.
+    m.monitor.unibusWrite(UpcMonitor::cmdStop);
+    tick(*m.cpu, 10);
+    m.monitor.unibusWrite(UpcMonitor::cmdStart);
+    tick(*m.cpu, 10);
+    EXPECT_EQ(m.monitor.histogram().cycles(), 100u);
+    EXPECT_EQ(second.histogram().cycles(), 70u);
+    // Attaching the board to another machine detaches it from this
+    // one, which then counts nowhere.
+    Cpu780 other;
+    other.setCycleSink(&second);
+    tick(*m.cpu, 10);
+    EXPECT_EQ(second.histogram().cycles(), 70u);
 }
 
 class AnalyzerSyntheticTest : public ::testing::Test

@@ -115,6 +115,17 @@ TEST(StatsRegistry, DumpFormats)
     EXPECT_NE(json.find("a \\\"rate\\\""), std::string::npos);
 }
 
+TEST(StatsRegistry, JsonEscapesControlCharacters)
+{
+    // A raw control character inside a JSON string is invalid JSON.
+    stats::Registry r;
+    uint64_t c = 1;
+    r.addScalar("ctl", "a\x01" "b\rc", &c);
+    EXPECT_NE(r.dumpJson().find("\"desc\": \"a\\u0001b\\rc\"}"),
+              std::string::npos)
+        << r.dumpJson();
+}
+
 TEST(StatsRegistry, SaveRoundTrip)
 {
     stats::Registry r;

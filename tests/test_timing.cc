@@ -20,13 +20,13 @@ namespace
 
 /** Cycles to run an image to HALT (no monitor required). */
 uint64_t
-cyclesToHalt(Assembler &a, Cpu780 &cpu, CycleSink *sink = nullptr)
+cyclesToHalt(Assembler &a, Cpu780 &cpu, UpcMonitor *mon = nullptr)
 {
     auto image = a.finish();
     cpu.mem().setMapEnable(false);
     cpu.mem().phys().load(a.base(), image);
-    if (sink)
-        cpu.setCycleSink(sink);
+    if (mon)
+        cpu.setCycleSink(mon);
     cpu.reset(a.base());
     cpu.ebox().setGpr(SP, 0x20000);
     EXPECT_TRUE(cpu.run(1000000));

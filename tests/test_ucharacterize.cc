@@ -143,6 +143,13 @@ TEST(Ucharacterize, BaselineJsonRoundTrip)
     EXPECT_EQ(json, ucharJson(parsed));
     EXPECT_TRUE(ucharCompare(rep, parsed).ok());
     EXPECT_TRUE(ucharCompare(parsed, rep).ok());
+
+    // Every escaped string comes back exact, control characters too.
+    UcharReport odd = rep;
+    odd.skipped.push_back({"MOVL", "(Rn)", "\"q\" \\ \n\t\r\x01\x1f end"});
+    ASSERT_TRUE(ucharParseJson(ucharJson(odd), &parsed, &err)) << err;
+    ASSERT_EQ(parsed.skipped.size(), odd.skipped.size());
+    EXPECT_EQ(parsed.skipped.back().reason, odd.skipped.back().reason);
 }
 
 TEST(Ucharacterize, PerturbedUwordCountFailsCompare)
