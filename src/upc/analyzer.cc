@@ -103,9 +103,13 @@ void
 HistogramAnalyzer::classify()
 {
     for (UAddr a = 0; a < cs_.size(); ++a) {
-        const UAnnotation &ann = cs_.annotation(a);
         uint64_t n = hist_.normal[a];
         uint64_t s = hist_.stalled[a];
+        // Everything below adds n or s; a word that never ran adds
+        // nothing (a short run touches a few dozen of the words).
+        if (!n && !s)
+            continue;
+        const UAnnotation &ann = cs_.annotation(a);
         size_t row = static_cast<size_t>(ann.row);
 
         // Classify cycles into the Table 8 columns via the shared

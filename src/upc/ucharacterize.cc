@@ -42,8 +42,8 @@ runUcharProgram(const UcharProgram &prog, const UcharParams &params)
         cpu.mem().setMapEnable(false);
         UpcMonitor monitor;
         cpu.setCycleSink(&monitor);
-        for (const auto &poke : prog.pokes)
-            cpu.mem().phys().load(poke.first, poke.second);
+        for (const UcharPoke &poke : prog.pokes)
+            cpu.mem().phys().load(poke.addr, *poke.bytes);
         cpu.mem().phys().load(prog.base, prog.image);
         cpu.reset(prog.base);
         cpu.ebox().setGpr(SP, prog.sp);
@@ -65,9 +65,22 @@ runUcharProgram(const UcharProgram &prog, const UcharParams &params)
             out.reason = buf;
             return out;
         }
+        // The monitor counts every cycle the machine runs, so this
+        // proves no count lies outside the control store: the columns
+        // below then account for both banks in full.
+        if (an.totalCycles() != cpu.cycles()) {
+            char buf[112];
+            std::snprintf(buf, sizeof(buf),
+                          "classified-cycle mismatch (machine ran %llu, "
+                          "histogram classified %llu)",
+                          static_cast<unsigned long long>(cpu.cycles()),
+                          static_cast<unsigned long long>(
+                              an.totalCycles()));
+            out.reason = buf;
+            return out;
+        }
         out.run.cycles = an.totalCycles();
         out.run.instructions = an.instructions();
-        out.run.uwords = monitor.histogram().normalCycles();
         for (size_t c = 0; c < kNumCols; ++c) {
             uint64_t sum = 0;
             for (size_t r = 0;
@@ -77,6 +90,10 @@ runUcharProgram(const UcharProgram &prog, const UcharParams &params)
             }
             out.run.cols[c] = sum;
         }
+        // timeColsFor puts every normal cycle in exactly one of these
+        // three columns, so they sum to the normal bank.
+        for (TimeCol c : {TimeCol::Compute, TimeCol::Read, TimeCol::Write})
+            out.run.uwords += out.run.cols[static_cast<size_t>(c)];
         uint64_t tb = 0;
         for (size_t c = 0; c < kNumCols; ++c)
             tb += an.cellCycles(Row::MemMgmt, static_cast<TimeCol>(c));
@@ -412,8 +429,12 @@ struct JParser
             out->t = Jv::T::Num;
             uint64_t v = 0;
             while (p < end &&
-                   std::isdigit(static_cast<unsigned char>(*p)))
-                v = v * 10 + static_cast<uint64_t>(*p++ - '0');
+                   std::isdigit(static_cast<unsigned char>(*p))) {
+                uint64_t d = static_cast<uint64_t>(*p++ - '0');
+                if (v > (UINT64_MAX - d) / 10)
+                    return fail("integer above 2^64-1");
+                v = v * 10 + d;
+            }
             out->num = v;
             return true;
         }
@@ -491,6 +512,10 @@ ucharParseJson(const std::string &text, UcharReport *out,
         *err = "uchar JSON: missing parameters";
         return false;
     }
+    if (iters->num > UINT32_MAX || unroll->num > UINT32_MAX) {
+        *err = "uchar JSON: iters or unroll above 2^32-1";
+        return false;
+    }
     *out = UcharReport();
     out->params.iters = static_cast<uint32_t>(iters->num);
     out->params.unroll = static_cast<uint32_t>(unroll->num);
@@ -516,6 +541,10 @@ ucharParseJson(const std::string &text, UcharReport *out,
             return false;
         if (!ipc || ipc->t != Jv::T::Num) {
             *err = "uchar JSON: row missing ipc";
+            return false;
+        }
+        if (ipc->num > UINT32_MAX) {
+            *err = "uchar JSON: row ipc above 2^32-1";
             return false;
         }
         row.ipc = static_cast<uint32_t>(ipc->num);
@@ -589,6 +618,26 @@ diffRun(UcharDiff &d, const std::string &what, const UcharRun &a,
     }
 }
 
+/**
+ * Index one side's rows or skips by "op mode".  A key seen twice
+ * would hide one of its entries from every comparison, so each
+ * repeat is a difference of its own.
+ */
+template <typename T>
+std::map<std::string, const T *>
+indexByKey(UcharDiff &d, const std::vector<T> &items, const char *what,
+           const char *side)
+{
+    std::map<std::string, const T *> m;
+    for (const T &item : items) {
+        std::string key = item.op + " " + item.mode;
+        if (!m.emplace(key, &item).second)
+            d.messages.push_back(std::string("duplicate ") + what +
+                                 " in " + side + ": " + key);
+    }
+    return m;
+}
+
 } // anonymous namespace
 
 UcharDiff
@@ -609,11 +658,8 @@ ucharCompare(const UcharReport &baseline, const UcharReport &current)
     diffRun(d, "calibration", baseline.calibration,
             current.calibration);
 
-    std::map<std::string, const UcharRow *> base, cur;
-    for (const auto &r : baseline.rows)
-        base[r.op + " " + r.mode] = &r;
-    for (const auto &r : current.rows)
-        cur[r.op + " " + r.mode] = &r;
+    auto base = indexByKey(d, baseline.rows, "row", "baseline");
+    auto cur = indexByKey(d, current.rows, "row", "current");
     for (const auto &kv : base) {
         auto it = cur.find(kv.first);
         if (it == cur.end()) {
@@ -634,20 +680,17 @@ ucharCompare(const UcharReport &baseline, const UcharReport &current)
         if (!base.count(kv.first))
             d.messages.push_back("row not in baseline: " + kv.first);
 
-    std::map<std::string, std::string> bskip, cskip;
-    for (const auto &k : baseline.skipped)
-        bskip[k.op + " " + k.mode] = k.reason;
-    for (const auto &k : current.skipped)
-        cskip[k.op + " " + k.mode] = k.reason;
+    auto bskip = indexByKey(d, baseline.skipped, "skip", "baseline");
+    auto cskip = indexByKey(d, current.skipped, "skip", "current");
     for (const auto &kv : bskip) {
         auto it = cskip.find(kv.first);
         if (it == cskip.end())
             d.messages.push_back("skip missing from current: " +
                                  kv.first);
-        else if (it->second != kv.second)
+        else if (it->second->reason != kv.second->reason)
             d.messages.push_back("skip reason changed for " +
-                                 kv.first + ": '" + kv.second +
-                                 "' -> '" + it->second + "'");
+                                 kv.first + ": '" + kv.second->reason +
+                                 "' -> '" + it->second->reason + "'");
     }
     for (const auto &kv : cskip)
         if (!bskip.count(kv.first))

@@ -32,8 +32,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <functional>
+#include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "arch/specifiers.hh"
@@ -83,10 +83,20 @@ struct UcharProfileEntry
     std::vector<UcharSpecUse> specs;
 };
 
+/** One data region loaded into physical memory before a run.  The
+ *  bytes are immutable and may be shared: a corpus builds each
+ *  fill-region image once and every program that uses it points at
+ *  the same buffer. */
+struct UcharPoke
+{
+    uint32_t addr = 0;
+    std::shared_ptr<const std::vector<uint8_t>> bytes;
+};
+
 /**
- * One generated microbenchmark, fully described by value: the
- * assembled image plus the data regions to poke into physical memory
- * and the exact dynamic instruction count the clean run must retire.
+ * One generated microbenchmark: the assembled image plus the data
+ * regions to poke into physical memory and the exact dynamic
+ * instruction count the clean run must retire.
  */
 struct UcharProgram
 {
@@ -98,7 +108,7 @@ struct UcharProgram
     uint64_t expectedInstructions = 0; ///< clean-run retire count
     std::vector<uint8_t> image;
     /** Data regions loaded into physical memory before the run. */
-    std::vector<std::pair<uint32_t, std::vector<uint8_t>>> pokes;
+    std::vector<UcharPoke> pokes;
     /** Image offsets of each measured-instruction copy (round-trip
      *  and disassembly checks anchor here). */
     std::vector<uint32_t> targetOffsets;
@@ -113,7 +123,10 @@ struct UcharRun
 {
     uint64_t cycles = 0;       ///< classified cycles (analyzer total)
     uint64_t instructions = 0; ///< IID count
-    uint64_t uwords = 0;       ///< microwords executed (normal bank)
+    /** Microwords executed: the normal bank's total, which is the
+     *  Compute + Read + Write sum (every normal cycle classifies into
+     *  exactly one of those three columns). */
+    uint64_t uwords = 0;
     /** Table 8 column sums: Compute, Read, RStall, Write, WStall,
      *  IbStall (cache/read stalls are RStall, write-buffer stalls
      *  are WStall). */
@@ -141,7 +154,9 @@ struct UcharOutcome
  * variant becomes a reason string, not a process abort.  A run that
  * does not halt, or halts with the wrong dynamic instruction count
  * (e.g. it faulted through the zeroed SCB), is also classified as
- * failed -- the no-silent-skips contract.
+ * failed -- the no-silent-skips contract.  So is a run whose
+ * classified cycles differ from the machine's cycle count: a count
+ * outside the control store would make the row's column sums lie.
  */
 UcharOutcome runUcharProgram(const UcharProgram &prog,
                              const UcharParams &params);

@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cstring>
 #include <initializer_list>
+#include <memory>
 #include <sstream>
 
 #include "arch/assembler.hh"
@@ -186,10 +187,32 @@ harnessFor(const OpcodeInfo &info, const char **skip_reason)
 // Program builder
 // ---------------------------------------------------------------
 
+using Bytes = std::shared_ptr<const std::vector<uint8_t>>;
+
+/** One fill region: `value` repeated as little-endian longwords. */
+Bytes
+fillImage(uint32_t value)
+{
+    auto img = std::make_shared<std::vector<uint8_t>>(kRegionBytes);
+    for (size_t i = 0; i < kRegionBytes; ++i)
+        (*img)[i] = static_cast<uint8_t>(value >> (8 * (i % 4)));
+    return img;
+}
+
+/** The fill-region images of one corpus.  A region's bytes depend
+ *  only on its data flavour, so every program (and both regions of a
+ *  flavour) points at one of these two buffers. */
+struct FillImages
+{
+    Bytes intFill = fillImage(1);
+    Bytes floatFill = fillImage(kFloatOne);
+};
+
 struct Builder
 {
     const OpcodeInfo &info;
     const UcharParams &p;
+    const FillImages &fills;
     VMode vm{AddrMode::Register, false};
     bool noSpec = false;
     Harness h = Harness::Plain;
@@ -202,6 +225,7 @@ struct Builder
     bool needRsb = false;
 
     Assembler a{kCodeBase};
+    Label rsb = a.newLabel(); ///< the shared RSB (placed if needRsb)
     std::vector<uint32_t> offsets;
 
     /** Static instruction profile, built by the assembler hook: each
@@ -210,8 +234,9 @@ struct Builder
     std::vector<UcharProfileEntry> profile;
     uint64_t hookMult = 1;
 
-    Builder(const OpcodeInfo &info_, const UcharParams &p_)
-        : info(info_), p(p_)
+    Builder(const OpcodeInfo &info_, const UcharParams &p_,
+            const FillImages &fills_)
+        : info(info_), p(p_), fills(fills_)
     {
     }
 
@@ -234,14 +259,6 @@ struct Builder
         }
         profile.push_back(
             UcharProfileEntry{ii.opcode, hookMult, std::move(specs)});
-    }
-
-    std::string
-    copyLabel(uint32_t k, const char *tag) const
-    {
-        std::ostringstream os;
-        os << "uch_" << tag << "_" << k;
-        return os.str();
     }
 
     /** Mark the next emitted instruction as the measured one. */
@@ -359,9 +376,9 @@ struct Builder
     }
 
     void
-    emitPlainCopy(uint32_t k)
+    emitPlainCopy()
     {
-        std::string next = copyLabel(k, "next");
+        Label next = a.newLabel();
         std::vector<Operand> ops;
         unsigned addr_seq = 0;
         for (unsigned i = 0; i < info.numOperands; ++i) {
@@ -382,11 +399,13 @@ struct Builder
     }
 
     /** JMP/JSB destination scaffold: make the varied address operand
-     *  resolve to `dest`, then emit the measured instruction. */
+     *  resolve to the next copy (JMP) or the shared RSB (JSB), then
+     *  emit the measured instruction. */
     void
-    emitJumpCopy(uint32_t k, const std::string &dest)
+    emitJumpCopy(uint32_t k)
     {
-        std::string next = copyLabel(k, "next");
+        Label next = a.newLabel();
+        Label dest = h == Harness::JsbJump ? rsb : next;
         auto loadR10 = [&] {
             a.instr(op::MOVL,
                     {Operand::immAddr(dest), Operand::reg(R10)});
@@ -450,9 +469,9 @@ struct Builder
     }
 
     void
-    emitCaseCopy(uint32_t k)
+    emitCaseCopy()
     {
-        std::string next = copyLabel(k, "next");
+        Label next = a.newLabel();
         markTarget();
         a.instr(info.opcode,
                 {variedOperand(), Operand::lit(0), Operand::lit(1)});
@@ -461,9 +480,9 @@ struct Builder
     }
 
     void
-    emitCallCopy(uint32_t k)
+    emitCallCopy()
     {
-        std::string entry = copyLabel(k, "entry");
+        Label entry = a.newLabel();
         markTarget();
         a.instr(info.opcode,
                 {variedOperand(), Operand::rel(entry)});
@@ -472,10 +491,9 @@ struct Builder
     }
 
     void
-    emitRetCopy(uint32_t k)
+    emitRetCopy()
     {
-        std::string entry = copyLabel(k, "entry");
-        std::string next = copyLabel(k, "next");
+        Label entry = a.newLabel(), next = a.newLabel();
         a.instr(op::CALLS, {Operand::lit(0), Operand::rel(entry)});
         a.instr(op::BRB, {Operand::branch(next)});
         a.label(entry);
@@ -486,9 +504,9 @@ struct Builder
     }
 
     void
-    emitReiCopy(uint32_t k)
+    emitReiCopy()
     {
-        std::string next = copyLabel(k, "next");
+        Label next = a.newLabel();
         a.instr(op::PUSHL, {Operand::imm(0)}); // new PSL: kernel, IPL 0
         a.instr(op::PUSHL, {Operand::immAddr(next)}); // new PC on top
         markTarget();
@@ -503,7 +521,7 @@ struct Builder
             markTarget();
         uint8_t bsb =
             info.flow == ExecFlow::Rsb ? op::BSBB : info.opcode;
-        a.instr(bsb, {Operand::branch("uch_rsb")});
+        a.instr(bsb, {Operand::branch(rsb)});
     }
 
     void
@@ -511,28 +529,26 @@ struct Builder
     {
         switch (h) {
           case Harness::Plain:
-            emitPlainCopy(k);
+            emitPlainCopy();
             break;
           case Harness::Jump:
-            emitJumpCopy(k, copyLabel(k, "next"));
-            break;
           case Harness::JsbJump:
-            emitJumpCopy(k, "uch_rsb");
+            emitJumpCopy(k);
             break;
           case Harness::BsbPair:
             emitBsbCopy();
             break;
           case Harness::Case:
-            emitCaseCopy(k);
+            emitCaseCopy();
             break;
           case Harness::CallMask:
-            emitCallCopy(k);
+            emitCallCopy();
             break;
           case Harness::RetPair:
-            emitRetCopy(k);
+            emitRetCopy();
             break;
           case Harness::Rei:
-            emitReiCopy(k);
+            emitReiCopy();
             break;
           case Harness::Skip:
             fatal("uchar: emitCopy on a skipped harness");
@@ -572,12 +588,10 @@ struct Builder
     void
     addPokes(UcharProgram &prog) const
     {
-        auto fill = [&](uint32_t base, uint32_t value, size_t bytes) {
-            std::vector<uint8_t> img(bytes);
-            for (size_t i = 0; i < bytes; ++i)
-                img[i] =
-                    static_cast<uint8_t>(value >> (8 * (i % 4)));
-            prog.pokes.emplace_back(base, std::move(img));
+        auto poke = [&](uint32_t addr, std::vector<uint8_t> bytes) {
+            prog.pokes.push_back(
+                {addr, std::make_shared<const std::vector<uint8_t>>(
+                           std::move(bytes))});
         };
         auto longs = [&](uint32_t addr,
                          std::initializer_list<uint32_t> vals) {
@@ -585,14 +599,12 @@ struct Builder
             for (uint32_t v : vals)
                 for (unsigned b = 0; b < 4; ++b)
                     img.push_back(static_cast<uint8_t>(v >> (8 * b)));
-            prog.pokes.emplace_back(addr, std::move(img));
+            poke(addr, std::move(img));
         };
 
-        uint32_t fillVal = floatRegion ? kFloatOne : 1;
-        uint32_t base1 = floatRegion ? kFloatBase1 : kIntBase1;
-        uint32_t base2 = floatRegion ? kFloatBase2 : kIntBase2;
-        fill(base1, fillVal, kRegionBytes);
-        fill(base2, fillVal, kRegionBytes);
+        const Bytes &fill = floatRegion ? fills.floatFill : fills.intFill;
+        prog.pokes.push_back({floatRegion ? kFloatBase1 : kIntBase1, fill});
+        prog.pokes.push_back({floatRegion ? kFloatBase2 : kIntBase2, fill});
         // Deferred-displacement pointer slots, all pointing back at
         // the region midpoint.
         longs(mid + kByteDispDef, {mid});
@@ -606,16 +618,13 @@ struct Builder
                 for (unsigned b = 0; b < 4; ++b)
                     tab.push_back(
                         static_cast<uint8_t>(mid >> (8 * b)));
-            prog.pokes.emplace_back(ptrTab, std::move(tab));
+            poke(ptrTab, std::move(tab));
         }
         if (info.group == Group::Decimal) {
             // P0..P3: the packed number +1 (digit 1, sign C).
-            for (unsigned k = 0; k < 4; ++k) {
-                std::vector<uint8_t> packed(8, 0x1C);
-                prog.pokes.emplace_back(
-                    kPackedBase + kPackedStride * k,
-                    std::move(packed));
-            }
+            for (unsigned k = 0; k < 4; ++k)
+                poke(kPackedBase + kPackedStride * k,
+                     std::vector<uint8_t>(8, 0x1C));
         }
         if (info.flow == ExecFlow::InsQue ||
             info.flow == ExecFlow::RemQue) {
@@ -666,23 +675,24 @@ struct Builder
         hookMult = 1;
         a.instr(op::MOVL,
                 {Operand::imm(p.iters), Operand::reg(R11)});
-        a.label("uch_loop");
+        Label loop = a.newLabel(), again = a.newLabel(),
+              done = a.newLabel();
+        a.label(loop);
         hookMult = iters; // loop body: preamble + copies + SOBGTR
         emitPreamble();
         for (uint32_t k = 0; k < p.unroll; ++k)
             emitCopy(k);
-        a.instr(op::SOBGTR,
-                {Operand::reg(R11), Operand::branch("uch_again")});
+        a.instr(op::SOBGTR, {Operand::reg(R11), Operand::branch(again)});
         hookMult = 1; // fall-through after the final iteration
-        a.instr(op::BRB, {Operand::branch("uch_done")});
-        a.label("uch_again");
+        a.instr(op::BRB, {Operand::branch(done)});
+        a.label(again);
         hookMult = iters - 1; // back-jump on all but the last
-        a.instr(op::JMP, {Operand::absoluteLabel("uch_loop")});
-        a.label("uch_done");
+        a.instr(op::JMP, {Operand::absoluteLabel(loop)});
+        a.label(done);
         hookMult = kHaltRetires;
         a.instr(op::HALT);
         if (needRsb) {
-            a.label("uch_rsb");
+            a.label(rsb);
             if (info.flow == ExecFlow::Rsb)
                 markTarget();
             // The shared RSB returns from every BSBx/JSB copy.
@@ -718,12 +728,6 @@ struct Builder
     }
 };
 
-/** The empty loop, measured once per suite: identical preamble and
- *  loop-closing shape, zero copies. */
-struct CalibrationInfo
-{
-};
-
 bool
 filterMatch(const std::string &filter, const char *mnemonic)
 {
@@ -748,7 +752,7 @@ filterMatch(const std::string &filter, const char *mnemonic)
 /** Build one variant cell, classifying it as runnable or skipped. */
 UcharVariant
 makeVariant(const OpcodeInfo &info, const VMode *vm,
-            const UcharParams &params)
+            const UcharParams &params, const FillImages &fills)
 {
     UcharVariant v;
     v.op = info.mnemonic;
@@ -783,7 +787,7 @@ makeVariant(const OpcodeInfo &info, const VMode *vm,
         return v;
     }
 
-    Builder b(info, params);
+    Builder b(info, params, fills);
     if (vm)
         b.vm = *vm;
     b.noSpec = vm == nullptr;
@@ -799,6 +803,7 @@ makeVariant(const OpcodeInfo &info, const VMode *vm,
 std::vector<UcharVariant>
 ucharEnumerate(const UcharParams &params, const UcharSuiteOptions &opts)
 {
+    const FillImages fills;
     std::vector<UcharVariant> out;
     for (unsigned opc = 0; opc < 256; ++opc) {
         const OpcodeInfo &info = opcodeInfo(static_cast<uint8_t>(opc));
@@ -807,11 +812,11 @@ ucharEnumerate(const UcharParams &params, const UcharSuiteOptions &opts)
         if (!filterMatch(opts.opcodeFilter, info.mnemonic))
             continue;
         if (info.numSpecifiers == 0) {
-            out.push_back(makeVariant(info, nullptr, params));
+            out.push_back(makeVariant(info, nullptr, params, fills));
             continue;
         }
         for (const VMode &vm : kModes)
-            out.push_back(makeVariant(info, &vm, params));
+            out.push_back(makeVariant(info, &vm, params, fills));
     }
     return out;
 }
@@ -822,7 +827,8 @@ ucharCalibration(const UcharParams &params)
     UcharParams p = params;
     p.unroll = 0;
     const OpcodeInfo &nop = opcodeInfo(op::NOP);
-    Builder b(nop, p);
+    const FillImages fills;
+    Builder b(nop, p, fills);
     b.noSpec = true;
     b.h = Harness::Plain;
     UcharProgram prog = b.build();
