@@ -17,6 +17,7 @@
 #include "support/faultinject.hh"
 #include "support/interrupt.hh"
 #include "support/logging.hh"
+#include "support/parse.hh"
 #include "support/stats.hh"
 #include "support/table.hh"
 #include "support/trace.hh"
@@ -182,15 +183,15 @@ main(int argc, char **argv)
         return 2;
     }
     if (argc == 2) {
-        char *end = nullptr;
-        cycles = strtoull(argv[1], &end, 0);
-        if (end == argv[1] || *end != '\0' || cycles == 0) {
+        std::optional<uint64_t> v = parseCount(argv[1], UINT64_MAX);
+        if (!v || !*v) {
             std::fprintf(stderr,
                          "%s: bad cycle count '%s'\n\n", argv[0],
                          argv[1]);
             usage(argv[0], stderr);
             return 2;
         }
+        cycles = *v;
     }
     std::printf("upc780 full paper reproduction "
                 "(%llu cycles per experiment)\n\n",

@@ -10,8 +10,8 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 
+#include "support/parse.hh"
 #include "ucode/rom.hh"
 #include "upc/analyzer.hh"
 #include "upc/hist_io.hh"
@@ -19,11 +19,31 @@
 
 using namespace vax;
 
+namespace
+{
+
+int
+usageError(const char *prog, const char *what, const char *arg)
+{
+    std::fprintf(stderr, "%s: %s '%s'\n\nusage: %s [cycles] [csv-path]\n",
+                 prog, what, arg, prog);
+    return 2;
+}
+
+} // anonymous namespace
+
 int
 main(int argc, char **argv)
 {
-    uint64_t cycles = argc > 1 ? strtoull(argv[1], nullptr, 0)
-                               : 1'000'000;
+    if (argc > 3)
+        return usageError(argv[0], "unrecognized argument", argv[3]);
+    uint64_t cycles = 1'000'000;
+    if (argc > 1) {
+        std::optional<uint64_t> v = parseCount(argv[1], UINT64_MAX);
+        if (!v || !*v)
+            return usageError(argv[0], "bad cycle count", argv[1]);
+        cycles = *v;
+    }
     const char *path = argc > 2 ? argv[2] : "upc780_histogram.csv";
 
     Histogram hist;

@@ -12,10 +12,10 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "cpu/cpu.hh"
 #include "driver/sim_pool.hh"
+#include "support/parse.hh"
 #include "support/table.hh"
 #include "ucode/rom.hh"
 #include "upc/analyzer.hh"
@@ -33,14 +33,29 @@ struct Variant
     uint32_t tbEntries; ///< per half
 };
 
+int
+usageError(const char *prog, const char *what, const char *arg)
+{
+    std::fprintf(stderr, "%s: %s '%s'\n\nusage: %s [--jobs N] [cycles]\n",
+                 prog, what, arg, prog);
+    return 2;
+}
+
 } // anonymous namespace
 
 int
 main(int argc, char **argv)
 {
     unsigned jobs = parseJobsFlag(&argc, argv, envJobs());
-    uint64_t cycles = argc > 1 ? strtoull(argv[1], nullptr, 0)
-                               : 1'000'000;
+    if (argc > 2)
+        return usageError(argv[0], "unrecognized argument", argv[2]);
+    uint64_t cycles = 1'000'000;
+    if (argc == 2) {
+        std::optional<uint64_t> v = parseCount(argv[1], UINT64_MAX);
+        if (!v || !*v)
+            return usageError(argv[0], "bad cycle count", argv[1]);
+        cycles = *v;
+    }
     static const Variant variants[] = {
         {"2 KB cache / 32-entry TB", 2 << 10, 32},
         {"4 KB cache / 64-entry TB", 4 << 10, 64},

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "support/parse.hh"
 #include "ucode/rom.hh"
 #include "upc/analyzer.hh"
 #include "workload/experiments.hh"
@@ -34,21 +35,21 @@ printUsage(const char *prog, std::FILE *out, size_t nprofiles)
                  prog, nprofiles - 1);
 }
 
-/** Strict non-negative decimal parse; usage + exit(2) on garbage. */
+/** Strict non-negative integer (parseCount); usage + exit(2) on
+ *  garbage. */
 uint64_t
-parseCount(const char *prog, const char *what, const char *s,
-           size_t nprofiles)
+countArg(const char *prog, const char *what, const char *s,
+         size_t nprofiles)
 {
-    char *end = nullptr;
-    uint64_t v = std::strtoull(s, &end, 10);
-    if (*s == '\0' || *end != '\0' || *s == '-') {
+    std::optional<uint64_t> v = parseCount(s, UINT64_MAX);
+    if (!v) {
         std::fprintf(stderr, "%s: bad %s '%s' (non-negative "
                              "integer expected)\n\n",
                      prog, what, s);
         printUsage(prog, stderr, nprofiles);
         std::exit(2);
     }
-    return v;
+    return *v;
 }
 
 } // anonymous namespace
@@ -66,14 +67,14 @@ main(int argc, char **argv)
     }
 
     uint64_t cycles = argc > 1
-        ? parseCount(argv[0], "cycles", argv[1], profiles.size())
+        ? countArg(argv[0], "cycles", argv[1], profiles.size())
         : 1'000'000;
     uint64_t which = argc > 2
-        ? parseCount(argv[0], "profile", argv[2], profiles.size())
+        ? countArg(argv[0], "profile", argv[2], profiles.size())
         : 2; // educational
     size_t topn = argc > 3
         ? static_cast<size_t>(
-              parseCount(argv[0], "topN", argv[3], profiles.size()))
+              countArg(argv[0], "topN", argv[3], profiles.size()))
         : 24;
 
     if (cycles == 0 || topn == 0) {

@@ -13,10 +13,10 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "driver/sim_pool.hh"
+#include "support/parse.hh"
 #include "support/table.hh"
 #include "ucode/rom.hh"
 #include "upc/analyzer.hh"
@@ -65,14 +65,31 @@ printTable8(const HistogramAnalyzer &an)
     std::printf("\n");
 }
 
+int
+usageError(const char *prog, const char *what, const char *arg)
+{
+    std::fprintf(stderr,
+                 "%s: %s '%s'\n\n"
+                 "usage: %s [--jobs N] [cycles] [profile 0-4 | all]\n",
+                 prog, what, arg, prog);
+    return 2;
+}
+
 } // anonymous namespace
 
 int
 main(int argc, char **argv)
 {
     unsigned jobs = parseJobsFlag(&argc, argv, envJobs());
-    uint64_t cycles = argc > 1 ? strtoull(argv[1], nullptr, 0)
-                               : 2'000'000;
+    if (argc > 3)
+        return usageError(argv[0], "unrecognized argument", argv[3]);
+    uint64_t cycles = 2'000'000;
+    if (argc > 1) {
+        std::optional<uint64_t> v = parseCount(argv[1], UINT64_MAX);
+        if (!v || !*v)
+            return usageError(argv[0], "bad cycle count", argv[1]);
+        cycles = *v;
+    }
     const char *which_arg = argc > 2 ? argv[2] : "0";
 
     if (std::strcmp(which_arg, "all") == 0) {
@@ -99,14 +116,12 @@ main(int argc, char **argv)
         return 0;
     }
 
-    unsigned which = static_cast<unsigned>(atoi(which_arg));
     auto profiles = allProfiles();
-    if (which >= profiles.size()) {
-        std::fprintf(stderr, "profile must be 0-%zu or 'all'\n",
-                     profiles.size() - 1);
-        return 1;
-    }
-    const WorkloadProfile &prof = profiles[which];
+    std::optional<uint64_t> which =
+        parseCount(which_arg, profiles.size() - 1);
+    if (!which)
+        return usageError(argv[0], "bad profile", which_arg);
+    const WorkloadProfile &prof = profiles[*which];
 
     std::printf("characterizing '%s' (%u simulated users, "
                 "%llu cycles = %.2f simulated seconds)\n\n",

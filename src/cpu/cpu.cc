@@ -42,7 +42,7 @@ Cpu780::~Cpu780()
 void
 Cpu780::regStats(stats::Registry &r, const std::string &prefix) const
 {
-    hw_.regStats(r, prefix);
+    counter::regStats(r, prefix, hw_);
     const HwCounters *hw = &hw_;
     r.addFormula(prefix + ".cpi", "cycles per instruction", [hw] {
         return hw->instructions

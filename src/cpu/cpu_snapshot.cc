@@ -21,46 +21,6 @@
 namespace vax
 {
 
-// ====================== HwCounters ======================
-
-void
-HwCounters::save(snap::Serializer &s) const
-{
-    s.putU64(cycles);
-    s.putU64(instructions);
-    s.putU64(specifiers);
-    s.putU64(firstSpecifiers);
-    s.putU64(indexedSpecifiers);
-    s.putU64(bdispBytes);
-    s.putU64(bdispCount);
-    s.putU64(immediateBytes);
-    s.putU64(dispBytes);
-    s.putU64(unalignedRefs);
-    s.putU64(microTraps);
-    s.putU64(interrupts);
-    s.putU64(contextSwitches);
-    s.putU64(chmkCalls);
-}
-
-void
-HwCounters::restore(snap::Deserializer &d)
-{
-    cycles = d.getU64();
-    instructions = d.getU64();
-    specifiers = d.getU64();
-    firstSpecifiers = d.getU64();
-    indexedSpecifiers = d.getU64();
-    bdispBytes = d.getU64();
-    bdispCount = d.getU64();
-    immediateBytes = d.getU64();
-    dispBytes = d.getU64();
-    unalignedRefs = d.getU64();
-    microTraps = d.getU64();
-    interrupts = d.getU64();
-    contextSwitches = d.getU64();
-    chmkCalls = d.getU64();
-}
-
 // ====================== InstructionBuffer ======================
 
 void
@@ -382,7 +342,7 @@ Cpu780::save(snap::Serializer &s) const
     s.putU32(cfg_.ibBytes);
     s.putU32(cfg_.timerIpl);
     s.putU32(cfg_.terminalIpl);
-    hw_.save(s);
+    counter::save(s, hw_);
     ib_.save(s);
     ifetch_.save(s);
     intc_.save(s);
@@ -404,7 +364,7 @@ Cpu780::restore(snap::Deserializer &d)
     d.expectU32(cfg_.ibBytes, "IB size");
     d.expectU32(cfg_.timerIpl, "timer IPL");
     d.expectU32(cfg_.terminalIpl, "terminal IPL");
-    hw_.restore(d);
+    counter::restore(d, hw_);
     ib_.restore(d);
     ifetch_.restore(d);
     intc_.restore(d);

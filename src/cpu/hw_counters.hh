@@ -13,14 +13,11 @@
 #define UPC780_CPU_HW_COUNTERS_HH
 
 #include <cstdint>
-#include <string>
 
-#include "support/stats.hh"
+#include "support/counters.hh"
 
 namespace vax
 {
-
-namespace snap { class Serializer; class Deserializer; }
 
 struct HwCounters
 {
@@ -39,74 +36,37 @@ struct HwCounters
     uint64_t contextSwitches = 0;    ///< LDPCTX executions
     uint64_t chmkCalls = 0;
 
-    /** Weighted accumulate (composite merges across simulations). */
-    void
-    accumulate(const HwCounters &o, uint64_t w = 1)
-    {
-        cycles += o.cycles * w;
-        instructions += o.instructions * w;
-        specifiers += o.specifiers * w;
-        firstSpecifiers += o.firstSpecifiers * w;
-        indexedSpecifiers += o.indexedSpecifiers * w;
-        bdispBytes += o.bdispBytes * w;
-        bdispCount += o.bdispCount * w;
-        immediateBytes += o.immediateBytes * w;
-        dispBytes += o.dispBytes * w;
-        unalignedRefs += o.unalignedRefs * w;
-        microTraps += o.microTraps * w;
-        interrupts += o.interrupts * w;
-        contextSwitches += o.contextSwitches * w;
-        chmkCalls += o.chmkCalls * w;
-    }
-
-    HwCounters &
-    operator+=(const HwCounters &o)
-    {
-        accumulate(o);
-        return *this;
-    }
-
-    /** @{ Checkpoint/restore: every counter, in declaration order. */
-    void save(snap::Serializer &s) const;
-    void restore(snap::Deserializer &d);
-    /** @} */
-
-    /** Mirror every counter into the registry under prefix. */
-    void
-    regStats(stats::Registry &r, const std::string &prefix) const
-    {
-        r.addScalar(prefix + ".cycles", "machine cycles (200 ns each)",
-                    &cycles);
-        r.addScalar(prefix + ".instructions",
-                    "instructions retired (decode-complete)",
-                    &instructions);
-        r.addScalar(prefix + ".specifiers",
-                    "operand specifiers decoded", &specifiers);
-        r.addScalar(prefix + ".firstSpecifiers",
-                    "first specifiers decoded", &firstSpecifiers);
-        r.addScalar(prefix + ".indexedSpecifiers",
-                    "indexed specifiers decoded", &indexedSpecifiers);
-        r.addScalar(prefix + ".bdispBytes",
-                    "branch-displacement bytes consumed", &bdispBytes);
-        r.addScalar(prefix + ".bdispCount",
-                    "instructions with a bdisp field", &bdispCount);
-        r.addScalar(prefix + ".immediateBytes",
-                    "immediate/absolute specifier bytes",
-                    &immediateBytes);
-        r.addScalar(prefix + ".dispBytes",
-                    "displacement bytes in specifiers", &dispBytes);
-        r.addScalar(prefix + ".unalignedRefs",
-                    "alignment microtraps", &unalignedRefs);
-        r.addScalar(prefix + ".microTraps",
-                    "microtraps taken (abort cycles)", &microTraps);
-        r.addScalar(prefix + ".interrupts",
-                    "interrupt microcode entries", &interrupts);
-        r.addScalar(prefix + ".contextSwitches",
-                    "LDPCTX executions", &contextSwitches);
-        r.addScalar(prefix + ".chmkCalls", "CHMK system services",
-                    &chmkCalls);
-    }
+    /** Each counter once, in declaration order (support/counters.hh). */
+    static constexpr Counter<HwCounters> fields[] = {
+        {"cycles", "machine cycles (200 ns each)", &HwCounters::cycles},
+        {"instructions", "instructions retired (decode-complete)",
+         &HwCounters::instructions},
+        {"specifiers", "operand specifiers decoded",
+         &HwCounters::specifiers},
+        {"firstSpecifiers", "first specifiers decoded",
+         &HwCounters::firstSpecifiers},
+        {"indexedSpecifiers", "indexed specifiers decoded",
+         &HwCounters::indexedSpecifiers},
+        {"bdispBytes", "branch-displacement bytes consumed",
+         &HwCounters::bdispBytes},
+        {"bdispCount", "instructions with a bdisp field",
+         &HwCounters::bdispCount},
+        {"immediateBytes", "immediate/absolute specifier bytes",
+         &HwCounters::immediateBytes},
+        {"dispBytes", "displacement bytes in specifiers",
+         &HwCounters::dispBytes},
+        {"unalignedRefs", "alignment microtraps",
+         &HwCounters::unalignedRefs},
+        {"microTraps", "microtraps taken (abort cycles)",
+         &HwCounters::microTraps},
+        {"interrupts", "interrupt microcode entries",
+         &HwCounters::interrupts},
+        {"contextSwitches", "LDPCTX executions",
+         &HwCounters::contextSwitches},
+        {"chmkCalls", "CHMK system services", &HwCounters::chmkCalls},
+    };
 };
+static_assert(counter::covers<HwCounters>());
 
 } // namespace vax
 

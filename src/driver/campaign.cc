@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <climits>
 #include <cmath>
 #include <csignal>
 #include <cstdarg>
@@ -22,6 +23,7 @@
 #include "support/interrupt.hh"
 #include "support/iofault.hh"
 #include "support/logging.hh"
+#include "support/parse.hh"
 #include "support/sim_error.hh"
 #include "support/snapshot.hh"
 #include "support/stats.hh"
@@ -85,16 +87,19 @@ takeValueFlag(int *argc, char **argv, const char *name,
     return have;
 }
 
+/** A count flag's value in [@p min, @p max]; usage and exit 2
+ *  otherwise.  @p min is 0 (indices) or 1. */
 uint64_t
-takeCount(const char *prog, const char *flag, const std::string &val)
+countFlag(const char *prog, const char *flag, const std::string &val,
+          uint64_t min, uint64_t max)
 {
-    char *end = nullptr;
-    errno = 0;
-    unsigned long long v = std::strtoull(val.c_str(), &end, 0);
-    if (errno || end == val.c_str() || *end || !v)
-        usageError(prog, "%s: '%s' is not a positive count", flag,
-                   val.c_str());
-    return v;
+    std::optional<uint64_t> v = parseCount(val, max);
+    if (!v || *v < min)
+        usageError(prog, "%s: '%s' is not a %s (max %llu)", flag,
+                   val.c_str(),
+                   min ? "positive count" : "non-negative integer",
+                   static_cast<unsigned long long>(max));
+    return *v;
 }
 
 double
@@ -106,19 +111,6 @@ takeSeconds(const char *prog, const char *flag, const std::string &val)
     if (errno || end == val.c_str() || *end || !(v > 0.0))
         usageError(prog, "%s: '%s' is not a positive duration in "
                    "seconds", flag, val.c_str());
-    return v;
-}
-
-/** Like takeCount but zero is legal (indices, epochs-as-ids). */
-uint64_t
-takeIndex(const char *prog, const char *flag, const std::string &val)
-{
-    char *end = nullptr;
-    errno = 0;
-    unsigned long long v = std::strtoull(val.c_str(), &end, 0);
-    if (errno || end == val.c_str() || *end)
-        usageError(prog, "%s: '%s' is not a non-negative integer",
-                   flag, val.c_str());
     return v;
 }
 
@@ -319,15 +311,15 @@ CampaignConfig::parseFlags(int *argc, char **argv)
     }
     if (takeValueFlag(argc, argv, "shards", &val))
         cfg.shards = static_cast<unsigned>(
-            takeCount(prog, "--shards", val));
+            countFlag(prog, "--shards", val, 1, UINT_MAX));
     if (takeValueFlag(argc, argv, "cycles", &val))
-        cfg.cycles = takeCount(prog, "--cycles", val);
+        cfg.cycles = countFlag(prog, "--cycles", val, 1, UINT64_MAX);
     if (takeValueFlag(argc, argv, "replicas", &val))
         cfg.replicas = static_cast<unsigned>(
-            takeCount(prog, "--replicas", val));
+            countFlag(prog, "--replicas", val, 1, UINT_MAX));
     if (takeValueFlag(argc, argv, "checkpoint-interval", &val))
-        cfg.intervalCycles =
-            takeCount(prog, "--checkpoint-interval", val);
+        cfg.intervalCycles = countFlag(prog, "--checkpoint-interval",
+                                       val, 1, UINT64_MAX);
     if (takeValueFlag(argc, argv, "heartbeat-interval", &val))
         cfg.heartbeatInterval =
             takeSeconds(prog, "--heartbeat-interval", val);
@@ -336,7 +328,7 @@ CampaignConfig::parseFlags(int *argc, char **argv)
             takeSeconds(prog, "--heartbeat-timeout", val);
     if (takeValueFlag(argc, argv, "max-retries", &val))
         cfg.maxAttempts = static_cast<unsigned>(
-            takeCount(prog, "--max-retries", val));
+            countFlag(prog, "--max-retries", val, 1, UINT_MAX));
     if (takeValueFlag(argc, argv, "backoff-base", &val))
         cfg.backoffBase = takeSeconds(prog, "--backoff-base", val);
     if (takeValueFlag(argc, argv, "backoff-cap", &val))
@@ -360,13 +352,14 @@ CampaignConfig::parseFlags(int *argc, char **argv)
         // that silently injected nothing would prove nothing.
         io::FaultPlan::parse(cfg.ioFaults);
     if (takeValueFlag(argc, argv, "chaos-drill", &val))
-        cfg.chaosSeed = takeCount(prog, "--chaos-drill", val);
+        cfg.chaosSeed =
+            countFlag(prog, "--chaos-drill", val, 1, UINT64_MAX);
 
     cfg.shardMode = parseBoolFlag(argc, argv, "shard");
     bool have_shard_id = takeValueFlag(argc, argv, "shard-id", &val);
     if (have_shard_id)
         cfg.shardId = static_cast<unsigned>(
-            takeIndex(prog, "--shard-id", val));
+            countFlag(prog, "--shard-id", val, 0, UINT_MAX));
     if (takeValueFlag(argc, argv, "epoch", &val))
         cfg.epoch = takeStamp(prog, "--epoch", val);
 
@@ -374,17 +367,17 @@ CampaignConfig::parseFlags(int *argc, char **argv)
     // usage text, but validated like everything else).
     if (takeValueFlag(argc, argv, "drill-shard0-die-after-chunks",
                       &val))
-        cfg.drillShard0DieAfterChunks =
-            takeCount(prog, "--drill-shard0-die-after-chunks", val);
+        cfg.drillShard0DieAfterChunks = countFlag(
+            prog, "--drill-shard0-die-after-chunks", val, 1, UINT64_MAX);
     if (takeValueFlag(argc, argv, "drill-die-after-results", &val))
-        cfg.drillDieAfterResults = static_cast<unsigned>(
-            takeCount(prog, "--drill-die-after-results", val));
+        cfg.drillDieAfterResults = static_cast<unsigned>(countFlag(
+            prog, "--drill-die-after-results", val, 1, UINT_MAX));
     if (takeValueFlag(argc, argv, "drill-poison-job", &val))
-        cfg.drillPoisonJob = static_cast<unsigned>(
-            takeIndex(prog, "--drill-poison-job", val));
+        cfg.drillPoisonJob = static_cast<unsigned>(countFlag(
+            prog, "--drill-poison-job", val, 0, kNoJob - 1));
     if (takeValueFlag(argc, argv, "drill-die-after-chunks", &val))
-        cfg.shardDieAfterChunks =
-            takeCount(prog, "--drill-die-after-chunks", val);
+        cfg.shardDieAfterChunks = countFlag(
+            prog, "--drill-die-after-chunks", val, 1, UINT64_MAX);
 
     if (*argc > 1)
         usageError(prog, "unrecognized argument '%s'", argv[1]);
@@ -525,21 +518,7 @@ writeResultFile(const std::string &path, const ExperimentResult &r)
     s.endSection();
 
     s.beginSection("result.hw");
-    r.hw.counters.save(s);
-    r.hw.cache.save(s);
-    r.hw.tb.save(s);
-    s.putU64(r.hw.faults.parityErrors);
-    s.putU64(r.hw.faults.tbCorruptions);
-    s.putU64(r.hw.faults.sbiTimeouts);
-    s.putU64(r.hw.faults.machineChecks);
-    s.putU64(r.hw.faults.cacheDisables);
-    s.putU64(r.hw.faults.osMachineChecks);
-    s.putU64(r.hw.ibLongwordFetches);
-    s.putU64(r.hw.dataReads);
-    s.putU64(r.hw.dataWrites);
-    s.putU64(r.hw.terminalLinesIn);
-    s.putU64(r.hw.terminalLinesOut);
-    s.putU64(r.hw.diskTransfers);
+    r.hw.save(s);
     s.endSection();
     return s.writeFile(path);
 }
@@ -587,21 +566,7 @@ readResultFileChecked(const std::string &path, ExperimentResult *out)
     d.endSection();
 
     d.beginSection("result.hw");
-    r.hw.counters.restore(d);
-    r.hw.cache.restore(d);
-    r.hw.tb.restore(d);
-    r.hw.faults.parityErrors = d.getU64();
-    r.hw.faults.tbCorruptions = d.getU64();
-    r.hw.faults.sbiTimeouts = d.getU64();
-    r.hw.faults.machineChecks = d.getU64();
-    r.hw.faults.cacheDisables = d.getU64();
-    r.hw.faults.osMachineChecks = d.getU64();
-    r.hw.ibLongwordFetches = d.getU64();
-    r.hw.dataReads = d.getU64();
-    r.hw.dataWrites = d.getU64();
-    r.hw.terminalLinesIn = d.getU64();
-    r.hw.terminalLinesOut = d.getU64();
-    r.hw.diskTransfers = d.getU64();
+    r.hw.restore(d);
     d.endSection();
     d.finish();
     *out = std::move(r);

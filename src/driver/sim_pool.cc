@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cctype>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -15,6 +14,7 @@
 #include "support/interrupt.hh"
 #include "support/iofault.hh"
 #include "support/logging.hh"
+#include "support/parse.hh"
 #include "support/sim_error.hh"
 #include "support/trace.hh"
 
@@ -170,21 +170,18 @@ parseValueFlag(int *argc, char **argv, const char *name,
     return have;
 }
 
-/** Parse @p val as an unsigned integer for @p flag; fatal on garbage
- *  and, unless @p zero_ok, on zero. */
+/** Parse @p val as a count in [@p min, @p max] for @p flag; fatal
+ *  otherwise. */
 uint64_t
-parseCount(const char *flag, const std::string &val, bool zero_ok)
+countFlag(const char *flag, const std::string &val, uint64_t min,
+          uint64_t max)
 {
-    char *end = nullptr;
-    errno = 0;
-    unsigned long long v = std::strtoull(val.c_str(), &end, 0);
-    // strtoull would skip blanks and wrap "-1"; a count starts with
-    // a digit.
-    if (!std::isdigit(static_cast<unsigned char>(val[0])) || errno ||
-        *end || (!v && !zero_ok))
-        fatal("%s: '%s' is not a %s count", flag, val.c_str(),
-              zero_ok ? "non-negative" : "positive");
-    return v;
+    std::optional<uint64_t> v = parseCount(val, max);
+    if (!v || *v < min)
+        fatal("%s: '%s' is not a %s count (max %llu)", flag,
+              val.c_str(), min ? "positive" : "non-negative",
+              static_cast<unsigned long long>(max));
+    return *v;
 }
 
 /** Parse @p val as a positive duration in seconds for @p flag. */
@@ -204,10 +201,8 @@ parseSeconds(const char *flag, const std::string &val)
 unsigned
 jobCount(const char *what, const std::string &val)
 {
-    uint64_t v = parseCount(what, val, true);
-    if (v > std::numeric_limits<unsigned>::max())
-        fatal("%s: '%s' is out of range", what, val.c_str());
-    return static_cast<unsigned>(v);
+    return static_cast<unsigned>(
+        countFlag(what, val, 0, std::numeric_limits<unsigned>::max()));
 }
 
 } // anonymous namespace
@@ -557,7 +552,8 @@ uint64_t
 benchCycles(uint64_t def)
 {
     const char *env = std::getenv("UPC780_CYCLES");
-    return env && *env ? parseCount("UPC780_CYCLES", env, false) : def;
+    return env && *env ? countFlag("UPC780_CYCLES", env, 1, UINT64_MAX)
+                       : def;
 }
 
 RunLimits
@@ -567,7 +563,7 @@ parseLimitsFlags(int *argc, char **argv)
     std::string val;
     if (parseValueFlag(argc, argv, "watchdog-cycles", &val))
         limits.watchdogCycles =
-            parseCount("--watchdog-cycles", val, false);
+            countFlag("--watchdog-cycles", val, 1, UINT64_MAX);
     if (parseValueFlag(argc, argv, "job-timeout", &val))
         limits.timeoutSeconds = parseSeconds("--job-timeout", val);
     return limits;

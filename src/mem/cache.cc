@@ -12,26 +12,9 @@ namespace vax
 {
 
 void
-CacheStats::regStats(stats::Registry &r,
-                     const std::string &prefix) const
-{
-    r.addScalar(prefix + ".readRefsI",
-                "I-stream read references", &readRefsI);
-    r.addScalar(prefix + ".readMissesI",
-                "I-stream read misses", &readMissesI);
-    r.addScalar(prefix + ".readRefsD",
-                "D-stream read references", &readRefsD);
-    r.addScalar(prefix + ".readMissesD",
-                "D-stream read misses", &readMissesD);
-    r.addScalar(prefix + ".writeRefs",
-                "write references (write-through)", &writeRefs);
-    r.addScalar(prefix + ".writeHits", "write hits", &writeHits);
-}
-
-void
 Cache::regStats(stats::Registry &r, const std::string &prefix) const
 {
-    stats_.regStats(r, prefix);
+    counter::regStats(r, prefix, stats_);
     const CacheStats *s = &stats_;
     r.addFormula(prefix + ".missRatioI",
                  "I-stream read miss ratio", [s] {

@@ -21,13 +21,11 @@
 
 #include "arch/types.hh"
 #include "mem/mem_config.hh"
+#include "support/counters.hh"
 #include "support/random.hh"
 
 namespace vax
 {
-
-namespace stats { class Registry; }
-namespace snap { class Serializer; class Deserializer; }
 
 class FaultInjector;
 
@@ -41,33 +39,18 @@ struct CacheStats
     uint64_t writeRefs = 0;
     uint64_t writeHits = 0;
 
-    /** Weighted accumulate (composite merges across simulations). */
-    void
-    accumulate(const CacheStats &o, uint64_t w = 1)
-    {
-        readRefsI += o.readRefsI * w;
-        readMissesI += o.readMissesI * w;
-        readRefsD += o.readRefsD * w;
-        readMissesD += o.readMissesD * w;
-        writeRefs += o.writeRefs * w;
-        writeHits += o.writeHits * w;
-    }
-
-    CacheStats &
-    operator+=(const CacheStats &o)
-    {
-        accumulate(o);
-        return *this;
-    }
-
-    /** Mirror every counter into the registry under prefix. */
-    void regStats(stats::Registry &r, const std::string &prefix) const;
-
-    /** @{ Checkpoint/restore. */
-    void save(snap::Serializer &s) const;
-    void restore(snap::Deserializer &d);
-    /** @} */
+    /** Each counter once, in declaration order (support/counters.hh). */
+    static constexpr Counter<CacheStats> fields[] = {
+        {"readRefsI", "I-stream read references", &CacheStats::readRefsI},
+        {"readMissesI", "I-stream read misses", &CacheStats::readMissesI},
+        {"readRefsD", "D-stream read references", &CacheStats::readRefsD},
+        {"readMissesD", "D-stream read misses", &CacheStats::readMissesD},
+        {"writeRefs", "write references (write-through)",
+         &CacheStats::writeRefs},
+        {"writeHits", "write hits", &CacheStats::writeHits},
+    };
 };
+static_assert(counter::covers<CacheStats>());
 
 class Cache
 {

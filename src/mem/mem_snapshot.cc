@@ -19,30 +19,6 @@
 namespace vax
 {
 
-// ====================== CacheStats ======================
-
-void
-CacheStats::save(snap::Serializer &s) const
-{
-    s.putU64(readRefsI);
-    s.putU64(readMissesI);
-    s.putU64(readRefsD);
-    s.putU64(readMissesD);
-    s.putU64(writeRefs);
-    s.putU64(writeHits);
-}
-
-void
-CacheStats::restore(snap::Deserializer &d)
-{
-    readRefsI = d.getU64();
-    readMissesI = d.getU64();
-    readRefsD = d.getU64();
-    readMissesD = d.getU64();
-    writeRefs = d.getU64();
-    writeHits = d.getU64();
-}
-
 // ====================== Cache ======================
 
 void
@@ -55,7 +31,7 @@ Cache::save(snap::Serializer &s) const
         s.putBool(l.valid);
         s.putU32(l.tag);
     }
-    stats_.save(s);
+    counter::save(s, stats_);
     s.putU64(rng_.state());
     s.putU32(parityErrors_);
     s.putBool(disabled_);
@@ -71,32 +47,10 @@ Cache::restore(snap::Deserializer &d)
         l.valid = d.getBool();
         l.tag = d.getU32();
     }
-    stats_.restore(d);
+    counter::restore(d, stats_);
     rng_.setState(d.getU64());
     parityErrors_ = d.getU32();
     disabled_ = d.getBool();
-}
-
-// ====================== TbStats ======================
-
-void
-TbStats::save(snap::Serializer &s) const
-{
-    s.putU64(lookupsI);
-    s.putU64(missesI);
-    s.putU64(lookupsD);
-    s.putU64(missesD);
-    s.putU64(processFlushes);
-}
-
-void
-TbStats::restore(snap::Deserializer &d)
-{
-    lookupsI = d.getU64();
-    missesI = d.getU64();
-    lookupsD = d.getU64();
-    missesD = d.getU64();
-    processFlushes = d.getU64();
 }
 
 // ====================== TranslationBuffer ======================
@@ -114,7 +68,7 @@ TranslationBuffer::save(snap::Serializer &s) const
     };
     putHalf(process_);
     putHalf(system_);
-    stats_.save(s);
+    counter::save(s, stats_);
 }
 
 void
@@ -130,7 +84,7 @@ TranslationBuffer::restore(snap::Deserializer &d)
     };
     getHalf(process_, "TB process entries");
     getHalf(system_, "TB system entries");
-    stats_.restore(d);
+    counter::restore(d, stats_);
 }
 
 // ====================== WriteBuffer ======================

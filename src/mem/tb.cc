@@ -10,23 +10,10 @@ namespace vax
 {
 
 void
-TbStats::regStats(stats::Registry &r, const std::string &prefix) const
-{
-    r.addScalar(prefix + ".lookupsI", "I-stream TB lookups",
-                &lookupsI);
-    r.addScalar(prefix + ".missesI", "I-stream TB misses", &missesI);
-    r.addScalar(prefix + ".lookupsD", "D-stream TB lookups",
-                &lookupsD);
-    r.addScalar(prefix + ".missesD", "D-stream TB misses", &missesD);
-    r.addScalar(prefix + ".processFlushes",
-                "process-half invalidations (LDPCTX)", &processFlushes);
-}
-
-void
 TranslationBuffer::regStats(stats::Registry &r,
                             const std::string &prefix) const
 {
-    stats_.regStats(r, prefix);
+    counter::regStats(r, prefix, stats_);
     const TbStats *s = &stats_;
     r.addFormula(prefix + ".missRatio",
                  "combined TB miss ratio", [s] {

@@ -20,12 +20,10 @@
 #include "arch/types.hh"
 #include "mem/mem_config.hh"
 #include "mem/page_table.hh"
+#include "support/counters.hh"
 
 namespace vax
 {
-
-namespace stats { class Registry; }
-namespace snap { class Serializer; class Deserializer; }
 
 class FaultInjector;
 
@@ -45,32 +43,17 @@ struct TbStats
     uint64_t missesD = 0;
     uint64_t processFlushes = 0;
 
-    /** Weighted accumulate (composite merges across simulations). */
-    void
-    accumulate(const TbStats &o, uint64_t w = 1)
-    {
-        lookupsI += o.lookupsI * w;
-        missesI += o.missesI * w;
-        lookupsD += o.lookupsD * w;
-        missesD += o.missesD * w;
-        processFlushes += o.processFlushes * w;
-    }
-
-    TbStats &
-    operator+=(const TbStats &o)
-    {
-        accumulate(o);
-        return *this;
-    }
-
-    /** Mirror every counter into the registry under prefix. */
-    void regStats(stats::Registry &r, const std::string &prefix) const;
-
-    /** @{ Checkpoint/restore. */
-    void save(snap::Serializer &s) const;
-    void restore(snap::Deserializer &d);
-    /** @} */
+    /** Each counter once, in declaration order (support/counters.hh). */
+    static constexpr Counter<TbStats> fields[] = {
+        {"lookupsI", "I-stream TB lookups", &TbStats::lookupsI},
+        {"missesI", "I-stream TB misses", &TbStats::missesI},
+        {"lookupsD", "D-stream TB lookups", &TbStats::lookupsD},
+        {"missesD", "D-stream TB misses", &TbStats::missesD},
+        {"processFlushes", "process-half invalidations (LDPCTX)",
+         &TbStats::processFlushes},
+    };
 };
+static_assert(counter::covers<TbStats>());
 
 class TranslationBuffer
 {

@@ -5,8 +5,8 @@
 #include <cstring>
 
 #include "support/logging.hh"
+#include "support/parse.hh"
 #include "support/snapshot.hh"
-#include "support/stats.hh"
 #include "support/trace.hh"
 
 namespace vax
@@ -56,14 +56,14 @@ parseRate(const std::string &field, const std::string &value)
 }
 
 uint64_t
-parseU64(const std::string &field, const std::string &value)
+parseCountField(const std::string &field, const std::string &value,
+                uint64_t max)
 {
-    char *end = nullptr;
-    uint64_t v = std::strtoull(value.c_str(), &end, 0);
-    if (!end || *end != '\0' || value.empty())
-        fatal("faults: bad count '%s=%s'", field.c_str(),
-              value.c_str());
-    return v;
+    std::optional<uint64_t> v = parseCount(value, max);
+    if (!v)
+        fatal("faults: bad count '%s=%s' (max %llu)", field.c_str(),
+              value.c_str(), static_cast<unsigned long long>(max));
+    return *v;
 }
 
 } // anonymous namespace
@@ -86,16 +86,17 @@ FaultConfig::parse(const std::string &spec)
         } else if (key == "sbi") {
             cfg.sbiTimeoutRate = parseRate(key, val);
         } else if (key == "seed") {
-            cfg.seed = parseU64(key, val);
+            cfg.seed = parseCountField(key, val, UINT64_MAX);
         } else if (key == "disable") {
-            cfg.cacheDisableAfter =
-                static_cast<uint32_t>(parseU64(key, val));
+            cfg.cacheDisableAfter = static_cast<uint32_t>(
+                parseCountField(key, val, UINT32_MAX));
         } else if (key == "penalty") {
-            cfg.sbiTimeoutPenalty =
-                static_cast<uint32_t>(parseU64(key, val));
+            cfg.sbiTimeoutPenalty = static_cast<uint32_t>(
+                parseCountField(key, val, UINT32_MAX));
         } else if (key == "pcycle") {
             for (const std::string &c : splitList(val, ':'))
-                cfg.parityCycles.push_back(parseU64(key, c));
+                cfg.parityCycles.push_back(
+                    parseCountField(key, c, UINT64_MAX));
             std::sort(cfg.parityCycles.begin(),
                       cfg.parityCycles.end());
         } else {
@@ -137,25 +138,6 @@ FaultConfig::parseFlag(int *argc, char **argv)
     argv[out] = nullptr;
     *argc = out;
     return have ? parse(spec) : fromEnv();
-}
-
-void
-FaultStats::regStats(stats::Registry &r,
-                     const std::string &prefix) const
-{
-    r.addScalar(prefix + ".parityErrors",
-                "cache parity errors injected", &parityErrors);
-    r.addScalar(prefix + ".tbCorruptions",
-                "TB entries corrupted", &tbCorruptions);
-    r.addScalar(prefix + ".sbiTimeouts",
-                "SBI fill transactions timed out", &sbiTimeouts);
-    r.addScalar(prefix + ".machineChecks",
-                "machine-check microcode dispatches", &machineChecks);
-    r.addScalar(prefix + ".cacheDisables",
-                "cache degradation fallbacks", &cacheDisables);
-    r.addScalar(prefix + ".osMachineChecks",
-                "guest machine-check handler entries",
-                &osMachineChecks);
 }
 
 FaultInjector::FaultInjector(const FaultConfig &cfg,
@@ -238,12 +220,7 @@ FaultInjector::save(snap::Serializer &s) const
     s.putU64(cycle_);
     s.putU64(nextParityCycle_);
     s.putU8(static_cast<uint8_t>(pending_));
-    s.putU64(stats_.parityErrors);
-    s.putU64(stats_.tbCorruptions);
-    s.putU64(stats_.sbiTimeouts);
-    s.putU64(stats_.machineChecks);
-    s.putU64(stats_.cacheDisables);
-    s.putU64(stats_.osMachineChecks);
+    counter::save(s, stats_);
 }
 
 void
@@ -253,12 +230,7 @@ FaultInjector::restore(snap::Deserializer &d)
     cycle_ = d.getU64();
     nextParityCycle_ = static_cast<size_t>(d.getU64());
     pending_ = static_cast<McheckCause>(d.getU8());
-    stats_.parityErrors = d.getU64();
-    stats_.tbCorruptions = d.getU64();
-    stats_.sbiTimeouts = d.getU64();
-    stats_.machineChecks = d.getU64();
-    stats_.cacheDisables = d.getU64();
-    stats_.osMachineChecks = d.getU64();
+    counter::restore(d, stats_);
 }
 
 } // namespace vax

@@ -26,13 +26,11 @@
 #include <string>
 #include <vector>
 
+#include "support/counters.hh"
 #include "support/random.hh"
 
 namespace vax
 {
-
-namespace stats { class Registry; }
-namespace snap { class Serializer; class Deserializer; }
 
 /** Machine-check cause codes (pushed to the guest handler). */
 enum class McheckCause : uint8_t {
@@ -95,27 +93,23 @@ struct FaultStats
     uint64_t cacheDisables = 0;  ///< degradation fallbacks triggered
     uint64_t osMachineChecks = 0; ///< guest handler entries observed
 
-    bool
-    any() const
-    {
-        return parityErrors || tbCorruptions || sbiTimeouts ||
-            machineChecks || cacheDisables || osMachineChecks;
-    }
-
-    void
-    accumulate(const FaultStats &o, uint64_t w = 1)
-    {
-        parityErrors += o.parityErrors * w;
-        tbCorruptions += o.tbCorruptions * w;
-        sbiTimeouts += o.sbiTimeouts * w;
-        machineChecks += o.machineChecks * w;
-        cacheDisables += o.cacheDisables * w;
-        osMachineChecks += o.osMachineChecks * w;
-    }
-
-    /** Mirror every counter into the registry under prefix. */
-    void regStats(stats::Registry &r, const std::string &prefix) const;
+    /** Each counter once, in declaration order (support/counters.hh). */
+    static constexpr Counter<FaultStats> fields[] = {
+        {"parityErrors", "cache parity errors injected",
+         &FaultStats::parityErrors},
+        {"tbCorruptions", "TB entries corrupted",
+         &FaultStats::tbCorruptions},
+        {"sbiTimeouts", "SBI fill transactions timed out",
+         &FaultStats::sbiTimeouts},
+        {"machineChecks", "machine-check microcode dispatches",
+         &FaultStats::machineChecks},
+        {"cacheDisables", "cache degradation fallbacks",
+         &FaultStats::cacheDisables},
+        {"osMachineChecks", "guest machine-check handler entries",
+         &FaultStats::osMachineChecks},
+    };
 };
+static_assert(counter::covers<FaultStats>());
 
 /**
  * One machine's fault source.  MemSystem owns it (only when the

@@ -12,6 +12,7 @@
 #include <unistd.h>
 
 #include "support/logging.hh"
+#include "support/parse.hh"
 #include "support/random.hh"
 
 namespace vax::io
@@ -75,13 +76,11 @@ constexpr KindName kindNames[] = {
 uint64_t
 parseNth(const std::string &entry, const std::string &text)
 {
-    char *end = nullptr;
-    errno = 0;
-    unsigned long long v = std::strtoull(text.c_str(), &end, 0);
-    if (errno || end == text.c_str() || *end || !v)
+    std::optional<uint64_t> v = parseCount(text, UINT64_MAX);
+    if (!v || !*v)
         fatal("io-faults: '%s': '%s' is not a positive operation "
               "index", entry.c_str(), text.c_str());
-    return v;
+    return *v;
 }
 
 std::vector<std::string>

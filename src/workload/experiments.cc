@@ -19,44 +19,45 @@ namespace vax
 void
 HwTotals::add(const HwTotals &other, uint64_t weight)
 {
-    counters.accumulate(other.counters, weight);
-    cache.accumulate(other.cache, weight);
-    tb.accumulate(other.tb, weight);
-    faults.accumulate(other.faults, weight);
-    ibLongwordFetches += other.ibLongwordFetches * weight;
-    dataReads += other.dataReads * weight;
-    dataWrites += other.dataWrites * weight;
-    terminalLinesIn += other.terminalLinesIn * weight;
-    terminalLinesOut += other.terminalLinesOut * weight;
-    diskTransfers += other.diskTransfers * weight;
+    counter::accumulate(counters, other.counters, weight);
+    counter::accumulate(cache, other.cache, weight);
+    counter::accumulate(tb, other.tb, weight);
+    counter::accumulate(faults, other.faults, weight);
+    counter::accumulate(*this, other, weight);
 }
 
 void
 HwTotals::regStats(stats::Registry &r, const std::string &prefix) const
 {
-    counters.regStats(r, prefix);
-    cache.regStats(r, prefix + ".cache");
-    tb.regStats(r, prefix + ".tb");
+    counter::regStats(r, prefix, counters);
+    counter::regStats(r, prefix + ".cache", cache);
+    counter::regStats(r, prefix + ".tb", tb);
     // Registered only when something actually fired: a fault-free
     // run's stats dump stays byte-identical to one built before
     // fault injection existed.
-    if (faults.any())
-        faults.regStats(r, prefix + ".faults");
-    r.addScalar(prefix + ".ibLongwordFetches",
-                "I-stream longwords fetched into the IB",
-                &ibLongwordFetches);
-    r.addScalar(prefix + ".dataReads", "EBOX D-stream reads",
-                &dataReads);
-    r.addScalar(prefix + ".dataWrites", "EBOX D-stream writes",
-                &dataWrites);
-    r.addScalar(prefix + ".terminalLinesIn",
-                "terminal lines injected by the RTE",
-                &terminalLinesIn);
-    r.addScalar(prefix + ".terminalLinesOut",
-                "terminal lines written by the kernel",
-                &terminalLinesOut);
-    r.addScalar(prefix + ".diskTransfers",
-                "disk transfers completed", &diskTransfers);
+    if (counter::any(faults))
+        counter::regStats(r, prefix + ".faults", faults);
+    counter::regStats(r, prefix, *this);
+}
+
+void
+HwTotals::save(snap::Serializer &s) const
+{
+    counter::save(s, counters);
+    counter::save(s, cache);
+    counter::save(s, tb);
+    counter::save(s, faults);
+    counter::save(s, *this);
+}
+
+void
+HwTotals::restore(snap::Deserializer &d)
+{
+    counter::restore(d, counters);
+    counter::restore(d, cache);
+    counter::restore(d, tb);
+    counter::restore(d, faults);
+    counter::restore(d, *this);
 }
 
 void

@@ -44,12 +44,33 @@ struct HwTotals
     uint64_t terminalLinesOut = 0;
     uint64_t diskTransfers = 0;
 
+    /** This record's own counters; the nested records carry theirs. */
+    static constexpr Counter<HwTotals> fields[] = {
+        {"ibLongwordFetches", "I-stream longwords fetched into the IB",
+         &HwTotals::ibLongwordFetches},
+        {"dataReads", "EBOX D-stream reads", &HwTotals::dataReads},
+        {"dataWrites", "EBOX D-stream writes", &HwTotals::dataWrites},
+        {"terminalLinesIn", "terminal lines injected by the RTE",
+         &HwTotals::terminalLinesIn},
+        {"terminalLinesOut", "terminal lines written by the kernel",
+         &HwTotals::terminalLinesOut},
+        {"diskTransfers", "disk transfers completed",
+         &HwTotals::diskTransfers},
+    };
+
     /** Weighted accumulate (weight 1 = the paper's plain sum). */
     void add(const HwTotals &other, uint64_t weight = 1);
 
     /** Register every total (counters, cache, TB, I/O) under prefix. */
     void regStats(stats::Registry &r, const std::string &prefix) const;
+
+    /** @{ Every counter, nested records first (a campaign .result). */
+    void save(snap::Serializer &s) const;
+    void restore(snap::Deserializer &d);
+    /** @} */
 };
+static_assert(counter::covers<HwTotals, HwCounters, CacheStats, TbStats,
+                              FaultStats>());
 
 struct ExperimentResult
 {

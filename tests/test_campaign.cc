@@ -77,6 +77,27 @@ TEST(CampaignFlags, ZeroShardsExits2)
                 "not a positive count");
 }
 
+TEST(CampaignFlags, SignedAndOversizeCountsExit2)
+{
+    // Read by bare strtoull and cast to unsigned, "-1" became
+    // 4294967295 and 2^32+1 became 1: a different fleet than asked.
+    Argv a({"--spool", "sp", "--shards", "-1"});
+    EXPECT_EXIT(a.parse(), ::testing::ExitedWithCode(2),
+                "--shards: '-1' is not a positive count");
+    Argv b({"--spool", "sp", "--shards", "4294967297"});
+    EXPECT_EXIT(b.parse(), ::testing::ExitedWithCode(2),
+                "max 4294967295");
+    Argv c({"--spool", "sp", "--max-retries", "-1"});
+    EXPECT_EXIT(c.parse(), ::testing::ExitedWithCode(2),
+                "--max-retries: '-1' is not a positive count");
+    Argv d({"--spool", "sp", "--shard", "--shard-id", "-1"});
+    EXPECT_EXIT(d.parse(), ::testing::ExitedWithCode(2),
+                "not a non-negative integer");
+    Argv e({"--spool", "sp", "--cycles", " 5"});
+    EXPECT_EXIT(e.parse(), ::testing::ExitedWithCode(2),
+                "not a positive count");
+}
+
 TEST(CampaignFlags, HeartbeatTimeoutBelowIntervalExits2)
 {
     Argv a({"--spool", "sp", "--heartbeat-interval", "5",

@@ -104,7 +104,7 @@ TEST(MergeLayer, StatsAccumulateOperators)
     c1.readRefsD = 10;
     c2.readRefsD = 5;
     c2.writeHits = 3;
-    c1 += c2;
+    counter::accumulate(c1, c2);
     EXPECT_EQ(c1.readRefsD, 15u);
     EXPECT_EQ(c1.writeHits, 3u);
 
@@ -112,7 +112,7 @@ TEST(MergeLayer, StatsAccumulateOperators)
     t1.missesI = 4;
     t2.missesI = 2;
     t2.processFlushes = 7;
-    t1 += t2;
+    counter::accumulate(t1, t2);
     EXPECT_EQ(t1.missesI, 6u);
     EXPECT_EQ(t1.processFlushes, 7u);
 
@@ -120,13 +120,13 @@ TEST(MergeLayer, StatsAccumulateOperators)
     h1.instructions = 100;
     h2.instructions = 11;
     h2.contextSwitches = 2;
-    h1 += h2;
+    counter::accumulate(h1, h2);
     EXPECT_EQ(h1.instructions, 111u);
     EXPECT_EQ(h1.contextSwitches, 2u);
 
     // Weighted accumulate scales every field.
     HwCounters h3;
-    h3.accumulate(h2, 5);
+    counter::accumulate(h3, h2, 5);
     EXPECT_EQ(h3.instructions, 55u);
     EXPECT_EQ(h3.contextSwitches, 10u);
 }

@@ -103,6 +103,11 @@ TEST(FaultConfig, RejectsUnknownAndMalformedFields)
     EXPECT_DEATH(FaultConfig::parse("parity"), "malformed field");
     EXPECT_DEATH(FaultConfig::parse("parity=2.0"), "bad rate");
     EXPECT_DEATH(FaultConfig::parse("seed=12junk"), "bad count");
+    // A sign or an oversize value must not wrap into a huge count.
+    EXPECT_DEATH(FaultConfig::parse("disable=-1"), "bad count");
+    EXPECT_DEATH(FaultConfig::parse("penalty=-1"), "bad count");
+    EXPECT_DEATH(FaultConfig::parse("disable=4294967296"), "bad count");
+    EXPECT_DEATH(FaultConfig::parse("pcycle=5:-1"), "bad count");
 }
 
 // ===================== injection determinism =====================
@@ -176,7 +181,7 @@ TEST(FaultInjection, ZeroRatesLeaveBaselineUntouched)
     EXPECT_TRUE(clean.hist.normal == wired.hist.normal);
     EXPECT_TRUE(clean.hist.stalled == wired.hist.stalled);
     EXPECT_EQ(clean.hw.counters.cycles, wired.hw.counters.cycles);
-    EXPECT_FALSE(wired.hw.faults.any());
+    EXPECT_FALSE(counter::any(wired.hw.faults));
 }
 
 // ===================== pool isolation =====================

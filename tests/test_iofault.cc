@@ -99,6 +99,9 @@ TEST(IoFaultSpec, TyposAreFatal)
                  "not a positive operation index");
     EXPECT_DEATH(io::FaultPlan::parse("enospc@2junk"),
                  "not a positive operation index");
+    // "-1" must not wrap to an index that never fires.
+    EXPECT_DEATH(io::FaultPlan::parse("eio@-1"),
+                 "not a positive operation index");
     EXPECT_DEATH(io::FaultPlan::parse("eio@1~"), "empty ~substr");
     EXPECT_DEATH(io::FaultPlan::parse("rand=notaseed"),
                  "not a positive operation index");

@@ -60,18 +60,7 @@ resultBytes(const ExperimentResult &r)
     snap::Serializer s;
     s.beginSection("cmp");
     r.hist.save(s);
-    r.hw.counters.save(s);
-    r.hw.cache.save(s);
-    r.hw.tb.save(s);
-    s.putU64(r.hw.faults.parityErrors);
-    s.putU64(r.hw.faults.machineChecks);
-    s.putU64(r.hw.faults.osMachineChecks);
-    s.putU64(r.hw.ibLongwordFetches);
-    s.putU64(r.hw.dataReads);
-    s.putU64(r.hw.dataWrites);
-    s.putU64(r.hw.terminalLinesIn);
-    s.putU64(r.hw.terminalLinesOut);
-    s.putU64(r.hw.diskTransfers);
+    r.hw.save(s);
     s.endSection();
     return s.finish();
 }

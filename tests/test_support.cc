@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "support/bitutil.hh"
+#include "support/parse.hh"
 #include "support/random.hh"
 #include "support/table.hh"
 
@@ -181,6 +182,22 @@ TEST(TextTable, NumberHelpers)
     EXPECT_EQ(TextTable::pct(12.345, 1), "12.3%");
     EXPECT_EQ(TextTable::count(1234567), "1,234,567");
     EXPECT_EQ(TextTable::count(999), "999");
+}
+
+TEST(ParseCount, AcceptsWholeUnsignedNumbersUpToTheMax)
+{
+    EXPECT_EQ(parseCount("0", 0), 0u);
+    EXPECT_EQ(parseCount("42", 42), 42u);
+    EXPECT_EQ(parseCount("0x10", UINT64_MAX), 16u);
+    EXPECT_EQ(parseCount("010", UINT64_MAX), 8u);
+    EXPECT_EQ(parseCount("18446744073709551615", UINT64_MAX), UINT64_MAX);
+    // strtoull alone takes every one of these: a sign ("-1" wraps to
+    // 2^64-1), a leading blank, trailing junk, a saturated overflow.
+    for (const char *bad : {"", "-1", "+1", " 1", "1 ", "1x", "0x",
+                            "18446744073709551616"})
+        EXPECT_FALSE(parseCount(bad, UINT64_MAX)) << "'" << bad << "'";
+    EXPECT_FALSE(parseCount("43", 42));
+    EXPECT_FALSE(parseCount("4294967296", UINT32_MAX));
 }
 
 } // namespace vax::test

@@ -157,13 +157,14 @@ main(int argc, char **argv)
         std::fputs(text.c_str(), stdout);
     } else {
         std::FILE *f = std::fopen(out_path.c_str(), "w");
-        if (!f) {
+        bool ok = f && std::fputs(text.c_str(), f) >= 0;
+        if (f && std::fclose(f) != 0)
+            ok = false;
+        if (!ok) {
             std::fprintf(stderr, "%s: cannot write '%s'\n", argv[0],
                          out_path.c_str());
             return 1;
         }
-        std::fputs(text.c_str(), f);
-        std::fclose(f);
     }
 
     if (!statsPath.empty()) {

@@ -112,14 +112,13 @@ writeFile(const char *prog, const std::string &path,
           const std::string &text)
 {
     std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
+    bool ok = f && std::fputs(text.c_str(), f) >= 0;
+    if (f && std::fclose(f) != 0)
+        ok = false;
+    if (!ok)
         std::fprintf(stderr, "%s: cannot write '%s'\n", prog,
                      path.c_str());
-        return false;
-    }
-    std::fputs(text.c_str(), f);
-    std::fclose(f);
-    return true;
+    return ok;
 }
 
 /** Static whole-program bounds of one generated variant: the profile
