@@ -6,10 +6,12 @@
  *
  * Usage: histogram_database [cycles] [csv-path]
  *   With an existing CSV produced earlier, analyses it instead of
- *   running a new measurement.
+ *   running a new measurement.  An existing file that does not load
+ *   is an error (exit 1), and is left as it was.
  */
 
 #include <cstdio>
+#include <filesystem>
 
 #include "support/parse.hh"
 #include "ucode/rom.hh"
@@ -48,7 +50,14 @@ main(int argc, char **argv)
 
     Histogram hist;
 
-    if (argc > 2 && loadHistogramCsv(path, &hist) && hist.cycles()) {
+    if (argc > 2 && std::filesystem::exists(path)) {
+        // The file was named to be read: one that does not load is
+        // reported, never replaced by a fresh measurement.
+        if (!loadHistogramCsv(path, &hist) || !hist.cycles()) {
+            std::fprintf(stderr, "%s: '%s' holds no histogram; left as "
+                         "it is\n", argv[0], path);
+            return 1;
+        }
         std::printf("loaded existing histogram '%s' (%llu cycles)\n",
                     path, (unsigned long long)hist.cycles());
     } else {

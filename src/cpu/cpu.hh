@@ -111,6 +111,7 @@ class Cpu780
     /** @{ Component access. */
     Ebox &ebox() { return *ebox_; }
     MemSystem &mem() { return mem_; }
+    const MemSystem &mem() const { return mem_; }
     InterruptController &intc() { return intc_; }
     IntervalTimer &timer() { return timer_; }
     HwCounters &hw() { return hw_; }

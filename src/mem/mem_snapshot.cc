@@ -124,6 +124,8 @@ Sbi::restore(snap::Deserializer &d)
 void
 PhysicalMemory::save(snap::Serializer &s) const
 {
+    while (!deferred_.empty())
+        materializeAt(deferred_.size() - 1);
     s.putU32(size());
     s.putBytesRle(data_, size_);
 }
@@ -133,6 +135,8 @@ PhysicalMemory::restore(snap::Deserializer &d)
 {
     d.expectU32(size(), "physical memory size");
     d.getBytesRle(data_, size_);
+    deferred_.clear();
+    pendingPages_.clear();
 }
 
 // ====================== MemSystem ======================

@@ -74,6 +74,7 @@ MemSystem::dataRead(VirtAddr va, unsigned bytes, CpuMode mode)
     if (cache_.readRef(pa, false))
         return {MemStatus::Ok, phys_.read(pa, bytes)};
 
+    phys_.touch(pa);
     startOrQueueEboxFill(pa, bytes);
     return {MemStatus::Stall};
 }
@@ -90,6 +91,7 @@ MemSystem::physRead(PhysAddr pa)
     ++dataReads_;
     if (cache_.readRef(pa, false))
         return {MemStatus::Ok, phys_.read(pa, 4)};
+    phys_.touch(pa);
     startOrQueueEboxFill(pa, 4);
     return {MemStatus::Stall};
 }
@@ -177,6 +179,7 @@ MemSystem::physWrite(PhysAddr pa, uint32_t data, unsigned bytes)
 void
 MemSystem::applyWrite(PhysAddr pa, uint32_t data, unsigned bytes)
 {
+    phys_.touch(pa);
     phys_.write(pa, data, bytes);
     cache_.writeRef(pa);
     wb_.accept(cfg_.writeDrainCycles);
@@ -211,6 +214,7 @@ MemSystem::ibFetch(VirtAddr va, CpuMode mode)
     if (cache_.readRef(pa, true))
         return {IbStatus::Data, phys_.read(pa, 4)};
 
+    phys_.touch(pa);
     ibFillPa_ = pa;
     if (fill_ == FillKind::None) {
         fill_ = FillKind::Ib;

@@ -20,6 +20,11 @@
  *  - TB misses and unaligned references are reported as statuses; the
  *    EBOX microtraps into the memory-management microcode, which uses
  *    physRead()/insert() to service them.
+ *  - Every cache miss touches its address before the fill starts, and
+ *    every write touches its address before it lands, so a deferred
+ *    region of physical memory is produced before any of its data
+ *    reaches the machine (PhysicalMemory::defer).  Hits need no check:
+ *    a line is valid only after a miss filled it.
  *
  * Call tick() exactly once per machine cycle, after the EBOX and
  * I-Fetch have taken their turns.

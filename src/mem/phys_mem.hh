@@ -8,6 +8,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "arch/types.hh"
@@ -28,6 +29,11 @@ namespace snap { class Serializer; class Deserializer; }
  * supplies zero pages on first touch, so a machine pays for the pages
  * it uses, not for zero-filling all 8 MB at construction (a bare
  * per-instruction machine touches a handful).
+ *
+ * A region's bytes may also be deferred: registered with a producer
+ * that runs the first time the memory system touches the region (see
+ * defer()).  A timesharing machine defers each user's image, so the
+ * images of users the run never dispatches are never built.
  */
 class PhysicalMemory
 {
@@ -81,17 +87,62 @@ class PhysicalMemory
     void writeLongs(PhysAddr pa, const uint32_t *longs, size_t n);
     /** @} */
 
+    /** @{ Deferred regions.  defer() stands for the bytes of
+     *  [pa, pa + n): produce() runs, and its bytes are loaded at pa,
+     *  on the region's first touch().  The memory system touches an
+     *  address on every cache miss, before the fill, and before every
+     *  write, and guest data enters the machine only those ways: a
+     *  cache hit needs an earlier miss's fill.  So a region must be
+     *  deferred before the machine runs, and pa and n are page
+     *  multiples, so no cache block straddles a region's edge.  The
+     *  raw accessors above neither touch nor check. */
+    using Producer = std::function<std::vector<uint8_t>()>;
+    void defer(PhysAddr pa, uint32_t n, Producer produce);
+
+    /** Materialize the deferred region holding pa, if any. */
+    void
+    touch(PhysAddr pa)
+    {
+        if (!deferred_.empty() && pa < size_ &&
+            (pendingPages_[pa >> (pageShift + 6)] >>
+             ((pa >> pageShift) & 63)) & 1)
+            materialize(pa);
+    }
+
+    /** Deferred regions not yet touched. */
+    size_t pendingRegions() const { return deferred_.size(); }
+    /** @} */
+
     /** @{ Checkpoint/restore.  Mostly-zero pages compress well, so
-     *  the image is stored run-length encoded. */
+     *  the image is stored run-length encoded.  save() materializes
+     *  every pending region first, so the bytes do not depend on
+     *  which regions were touched; restore() drops them all, since the
+     *  snapshot carries the bytes and a later touch must not produce
+     *  a region over them. */
     void save(snap::Serializer &s) const;
     void restore(snap::Deserializer &d);
     /** @} */
 
   private:
-    void prefault(PhysAddr pa, size_t n);
+    struct Deferred
+    {
+        PhysAddr pa;
+        uint32_t n;
+        Producer produce;
+    };
+
+    void prefault(PhysAddr pa, size_t n) const;
+    void materialize(PhysAddr pa) const;
+    void materializeAt(size_t i) const;
+    void markPending(const Deferred &r, bool pending) const;
 
     uint8_t *data_ = nullptr;
     uint32_t size_;
+
+    // Producing a region changes where its bytes live, not what memory
+    // holds, so even a const save() may do it.
+    mutable std::vector<Deferred> deferred_; ///< not yet touched
+    mutable std::vector<uint64_t> pendingPages_; ///< bit per page
 };
 
 } // namespace vax

@@ -32,6 +32,14 @@ sysva(PhysAddr pa)
     return systemBase + pa;
 }
 
+/** Fatal unless an image of this many bytes fits its P0 region. */
+void
+checkImage(size_t bytes, uint32_t p0_bytes)
+{
+    if (bytes > p0_bytes)
+        fatal("process image (%zu bytes) exceeds its P0 region", bytes);
+}
+
 } // anonymous namespace
 
 VmsLite::VmsLite(Cpu780 &cpu, UpcMonitor &monitor, const VmsConfig &cfg)
@@ -39,23 +47,41 @@ VmsLite::VmsLite(Cpu780 &cpu, UpcMonitor &monitor, const VmsConfig &cfg)
 {
 }
 
-void
-VmsLite::addProcess(const UserProgram &prog)
+unsigned
+VmsLite::registerProcess(VirtAddr entry, unsigned terminal_id)
 {
     upc_assert(!booted_);
-    if (prog.image.size() >
-        static_cast<size_t>(cfg_.userP0Pages) * pageBytes) {
-        fatal("process image (%zu bytes) exceeds its P0 region",
-              prog.image.size());
-    }
     unsigned nproc = numProcesses() + 1;
     if (arenaBasePa_ + uint64_t(nproc) * arenaStride() >
         cpu_.mem().config().memBytes) {
         fatal("VMS-lite: %u processes do not fit in physical memory",
               nproc);
     }
-    cpu_.mem().phys().load(processImagePa(nproc - 1), prog.image);
-    procs_.push_back({prog.entry, prog.terminalId});
+    procs_.push_back({entry, terminal_id});
+    return nproc - 1;
+}
+
+void
+VmsLite::addProcess(const UserProgram &prog)
+{
+    unsigned p = registerProcess(prog.entry, prog.terminalId);
+    checkImage(prog.image.size(), cfg_.userP0Pages * pageBytes);
+    cpu_.mem().phys().load(processImagePa(p), prog.image);
+}
+
+void
+VmsLite::addProcess(VirtAddr entry, unsigned terminal_id,
+                    PhysicalMemory::Producer image)
+{
+    unsigned p = registerProcess(entry, terminal_id);
+    uint32_t p0_bytes = cfg_.userP0Pages * pageBytes;
+    cpu_.mem().phys().defer(
+        processImagePa(p), p0_bytes,
+        [image = std::move(image), p0_bytes] {
+            std::vector<uint8_t> bytes = image();
+            checkImage(bytes.size(), p0_bytes);
+            return bytes;
+        });
 }
 
 void
@@ -195,8 +221,8 @@ VmsLite::buildTables()
     if (kstack_end > mmioPa_)
         fatal("VMS-lite: too many processes for the kernel stacks");
 
-    // Per-process arenas (addProcess loaded the images): the P0 page
-    // table maps the image pages user read/write.
+    // Per-process arenas (addProcess loaded or deferred the images):
+    // the P0 page table maps the image pages user read/write.
     ptes.resize(cfg_.userP0Pages);
     for (unsigned p = 0; p < nproc; ++p) {
         PhysAddr ptable = arenaBasePa_ + p * arenaStride();

@@ -58,9 +58,21 @@ class VmsLite
     void addProcess(const UserProgram &prog);
 
     /**
-     * Build the kernel, page tables, PCBs and process images; preset
-     * the console-loaded processor registers; point the CPU at the
-     * boot sequence.  Call run() on the CPU afterwards.
+     * Register a process before boot without its image: the process's
+     * P0 region is deferred (PhysicalMemory::defer), so image(), which
+     * returns what UserProgram::image would hold, runs on the
+     * machine's first touch of it, and never for a process the run
+     * does not dispatch.  Fatal at once if the arena does not fit in
+     * physical memory, and at that touch if the image overflows its P0
+     * region.
+     */
+    void addProcess(VirtAddr entry, unsigned terminal_id,
+                    PhysicalMemory::Producer image);
+
+    /**
+     * Build the kernel, page tables and PCBs; preset the
+     * console-loaded processor registers; point the CPU at the boot
+     * sequence.  Call run() on the CPU afterwards.
      */
     void boot();
 
@@ -126,6 +138,8 @@ class VmsLite
     };
 
     uint32_t arenaStride() const;
+    /** Append a process table entry; returns its index. */
+    unsigned registerProcess(VirtAddr entry, unsigned terminal_id);
     void buildKernel();
     void buildTables();
     void postMailbox(uint32_t id, uint32_t kind, unsigned ipl);

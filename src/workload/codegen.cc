@@ -952,6 +952,16 @@ CodeGenerator::emitDataRegions()
     rng_.fillLongs(a_.extend(4 * prof_.coldLongs), prof_.coldLongs);
 }
 
+VirtAddr
+CodeGenerator::entryPoint(const WorkloadProfile &profile)
+{
+    // The layout comes from the same emitDataRegions() that
+    // generate() runs, so the two cannot disagree.
+    CodeGenerator gen(profile, 0);
+    gen.emitDataRegions();
+    return gen.a_.here();
+}
+
 UserProgram
 CodeGenerator::generate(unsigned terminal_id)
 {

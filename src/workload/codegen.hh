@@ -41,6 +41,13 @@ class CodeGenerator
     /** Generate one user program bound to the given terminal. */
     UserProgram generate(unsigned terminal_id);
 
+    /**
+     * The entry point of every program generate() emits for profile:
+     * the code starts right after the data regions, whose layout
+     * depends on the profile alone, not on the seed.
+     */
+    static VirtAddr entryPoint(const WorkloadProfile &profile);
+
   private:
     // Block emitters (see BlockKind).
     void emitBlock(BlockKind k, bool top_level);

@@ -132,10 +132,16 @@ Experiment::Experiment(const WorkloadProfile &profile, uint64_t cycles,
         ++result_.hw.terminalLinesOut;
     });
 
+    // Each user's image is built on the machine's first touch of it:
+    // in a short run most users are never dispatched.
+    VirtAddr entry = CodeGenerator::entryPoint(profile_);
     for (unsigned u = 0; u < profile_.numUsers; ++u) {
-        CodeGenerator gen(profile_,
-                          profile_.seed * 0x9E3779B1ULL + 17 * u + 1);
-        os_.addProcess(gen.generate(u));
+        uint64_t seed = profile_.seed * 0x9E3779B1ULL + 17 * u + 1;
+        os_.addProcess(entry, u, [this, seed, u, entry] {
+            UserProgram prog = CodeGenerator(profile_, seed).generate(u);
+            upc_assert(prog.entry == entry);
+            return std::move(prog.image);
+        });
     }
     // Disk controller model: completions arrive a (deterministic,
     // exponential) seek+transfer latency after each request.

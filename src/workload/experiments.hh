@@ -132,16 +132,19 @@ struct RunLimits
  * the UPC monitor attached and the RTE injecting terminal traffic.
  *
  * Construction reproduces, in order, every deterministic step the
- * original one-shot runner performed (machine build, process code
- * generation, boot, initial think-time draws), so a fresh Experiment
- * is always in the same state as a one-shot run at cycle 0.  The run
+ * original one-shot runner performed (machine build, process
+ * registration, boot, initial think-time draws), so a fresh Experiment
+ * is always in the same state as a one-shot run at cycle 0.  A user's
+ * image is generated on the machine's first touch of it, not here:
+ * that changes when its bytes are built, never what they are.  The run
  * loop is exposed in chunks whose boundaries fall only between whole
  * tick-then-poll iterations -- chunked execution is therefore
  * bit-identical to a single runChunk(0) call, which is what makes
  * checkpoint/restore byte-transparent.
  *
  * Checkpointing: save() serializes the entire simulation (machine,
- * monitor, OS fingerprint, RTE clocks and disk queue); restore() must
+ * monitor, OS fingerprint, RTE clocks and disk queue), generating
+ * every image not yet touched first; restore() must
  * be called on a freshly constructed Experiment with the same
  * profile/config (fingerprints verified) and resumes the cycle stream
  * exactly where save() left it.  Both are valid only between chunks.
@@ -165,6 +168,13 @@ class Experiment
     bool done() const { return cpu_.cycles() >= cycles_; }
     uint64_t cycle() const { return cpu_.cycles(); }
     uint64_t budget() const { return cycles_; }
+
+    /** Users whose image is not generated yet: the machine has not
+     *  touched it, and no save() has built it. */
+    size_t pendingImages() const
+    {
+        return cpu_.mem().phys().pendingRegions();
+    }
 
     /** @{ Whole-simulation checkpoint (valid between chunks). */
     void save(snap::Serializer &s) const;

@@ -18,6 +18,7 @@
 #include <string>
 
 #include "driver/sim_pool.hh"
+#include "support/parse.hh"
 #include "support/stats.hh"
 #include "upc/ucharacterize.hh"
 #include "workload/uchar_corpus.hh"
@@ -84,14 +85,13 @@ parseValueFlag(int *argc, char **argv, const char *name,
 uint32_t
 parseU32(const char *prog, const char *what, const std::string &s)
 {
-    char *end = nullptr;
-    unsigned long v = std::strtoul(s.c_str(), &end, 10);
-    if (s.empty() || *end || v == 0 || v > 0xFFFFFFFFul) {
+    std::optional<uint64_t> v = vax::parseCount(s, UINT32_MAX);
+    if (!v || !*v) {
         std::fprintf(stderr, "%s: bad %s '%s' (positive integer)\n",
                      prog, what, s.c_str());
         std::exit(2);
     }
-    return static_cast<uint32_t>(v);
+    return static_cast<uint32_t>(*v);
 }
 
 } // anonymous namespace
