@@ -26,8 +26,6 @@
 namespace vax
 {
 
-namespace snap { class Serializer; class Deserializer; }
-
 /** Whole-machine configuration. */
 struct SimConfig
 {
@@ -91,16 +89,6 @@ class Cpu780
      *  (hardware counters, CPI, memory subsystem). */
     void regStats(stats::Registry &r, const std::string &prefix) const;
 
-    /** @{ Checkpoint/restore of the whole machine.  save() writes
-     *  the configuration fingerprint plus every component's mutable
-     *  state; restore() must be called on a machine built from the
-     *  same SimConfig (the fingerprint is verified, mismatch is a
-     *  SnapshotError) and afterwards the cycle stream continues
-     *  bit-identically to the saved machine's future. */
-    void save(snap::Serializer &s) const;
-    void restore(snap::Deserializer &d);
-    /** @} */
-
     /** Post a device interrupt (terminals, disks...). */
     void
     postDeviceInterrupt(unsigned level)
@@ -132,6 +120,30 @@ class Cpu780
     IntervalTimer timer_;
     HwCounters hw_;
     std::unique_ptr<Ebox> ebox_;
+
+  public:
+    /** Checkpoint fields (support/archive.hh): the configuration
+     *  fingerprint, then every component's state.  A machine restores
+     *  only into one built from the same SimConfig, and its cycle
+     *  stream then continues bit-identically to the saved one's. */
+    template <class A>
+    void
+    fields(A &a)
+    {
+        a.section("cpu", [&] {
+            a.check("machine seed", cfg_.seed);
+            a.check("IB size", cfg_.ibBytes);
+            a.check("timer IPL", cfg_.timerIpl);
+            a.check("terminal IPL", cfg_.terminalIpl);
+            a("hw_", hw_);
+            a("ib_", ib_);
+            a("ifetch_", ifetch_);
+            a("intc_", intc_);
+            a("timer_", timer_);
+        });
+        a.section("cpu.ebox", [&] { ebox_->fields(a); });
+        mem_.fields(a);
+    }
 };
 
 } // namespace vax

@@ -46,7 +46,6 @@ namespace vax
 
 class IntervalTimer;
 class UpcMonitor;
-namespace snap { class Serializer; class Deserializer; }
 
 /** Simulator-fatal architectural faults (workloads must avoid these). */
 enum class FaultKind : uint8_t {
@@ -67,6 +66,16 @@ struct DstLatch
     uint8_t reg = 0;
     VirtAddr addr = 0;
     DataType type = DataType::Long;
+
+    template <class A>
+    void
+    fields(A &a)
+    {
+        a("kind", kind);
+        a("reg", reg);
+        a("addr", addr);
+        a("type", type);
+    }
 };
 
 /**
@@ -123,6 +132,44 @@ struct Latches
      */
     uint32_t mm[6] = {};   ///< TB-fill scratch
     uint32_t alg[4] = {};  ///< alignment scratch
+
+    /** Checkpoint fields, in image order (support/archive.hh). */
+    template <class A>
+    void
+    fields(A &a)
+    {
+        a("opcode", opcode);
+        // The decode table entry, rebuilt from the opcode.
+        a.codec(
+            "info", [&] { return info != nullptr; },
+            [&](bool set) { info = set ? &opcodeInfo(opcode) : nullptr; });
+        a("instrPc", instrPc);
+        a("specIndex", specIndex);
+        a("specMode", specMode);
+        a("specReg", specReg);
+        a("specLiteral", specLiteral);
+        a("specAccess", specAccess);
+        a("specType", specType);
+        a("specOpIndex", specOpIndex);
+        a("specIndexed", specIndexed);
+        a("specIndexReg", specIndexReg);
+        a("idxVal", idxVal);
+        a("op", op);
+        a("opHi", opHi);
+        a("dstCount", dstCount);
+        a("dst", dst);
+        a("vIsReg", vIsReg);
+        a("vReg", vReg);
+        a("vAddr", vAddr);
+        a("va", va);
+        a("q", q);
+        a("t", t);
+        a("sc", sc);
+        a("strBuf", strBuf);
+        a("wide", wide);
+        a("mm", mm);
+        a("alg", alg);
+    }
 };
 
 class Ebox
@@ -388,15 +435,6 @@ class Ebox
     void setFlowCheck(bool on) { flowCheck_ = on; }
     bool flowCheck() const { return flowCheck_; }
 
-    /** @{ Checkpoint/restore: the complete execution state -- PSL,
-     *  GPRs, processor registers, micro-PC, decode latches, trap and
-     *  micro-call stacks, in-flight memory-op bookkeeping.  The attached
-     *  monitor and instruction hook are wiring, not state; the
-     *  restoring harness re-attaches them. */
-    void save(snap::Serializer &s) const;
-    void restore(snap::Deserializer &d);
-    /** @} */
-
   private:
     enum class State : uint8_t {
         Running,
@@ -417,6 +455,16 @@ class Ebox
         VirtAddr va = 0;
         uint32_t data = 0;
         unsigned bytes = 0;
+
+        template <class A>
+        void
+        fields(A &a)
+        {
+            a("kind", kind);
+            a("va", va);
+            a("data", data);
+            a("bytes", bytes);
+        }
     };
 
     struct TrapFrame
@@ -427,6 +475,18 @@ class Ebox
         bool resumeIsEnd = false; ///< resume is an end-of-instruction
         PendingMemOp op;          ///< op to re-issue (Kind::None: re-run)
         VirtAddr va = 0;          ///< faulting virtual address
+
+        template <class A>
+        void
+        fields(A &a)
+        {
+            a("kind", kind);
+            a("trapUpc", trapUpc);
+            a("resumeUpc", resumeUpc);
+            a("resumeIsEnd", resumeIsEnd);
+            a("op", op);
+            a("va", va);
+        }
     };
 
     void runMicroword();
@@ -518,6 +578,48 @@ class Ebox
     std::vector<UAddr> microStack_; ///< uCall/uRet
     unsigned pendingIntLevel_ = 0;
     uint32_t mcheckCause_ = 0;
+
+  public:
+    /** Checkpoint fields, in image order (support/archive.hh): the
+     *  complete execution state, mid-stall included.  The attached
+     *  monitor and instruction hook are wiring, not state; the
+     *  restoring harness re-attaches them. */
+    template <class A>
+    void
+    fields(A &a)
+    {
+        a("state_", state_);
+        a("halted_", halted_);
+        a("upc_", upc_);
+        a("afterMem_", afterMem_);
+        a("afterMemIsEnd_", afterMemIsEnd_);
+        a("gpr_", gpr_);
+        a.codec(
+            "psl_", [&] { return psl_.pack(); },
+            [&](uint32_t v) { psl_ = Psl::unpack(v); });
+        a("spBank_", spBank_);
+        a("pr_", pr_);
+        a("decodePc_", decodePc_);
+        a("md_", md_);
+        a("seqSet_", seqSet_);
+        a("nextUpc_", nextUpc_);
+        a("pendingEnd_", pendingEnd_);
+        a("ibFailed_", ibFailed_);
+        a("memIssued_", memIssued_);
+        a("memTrapped_", memTrapped_);
+        a("reissuePending_", reissuePending_);
+        a("trapRetSatisfied_", trapRetSatisfied_);
+        a("memStatus_", memStatus_);
+        a("curOp_", curOp_);
+        a("curTrapVa_", curTrapVa_);
+        a("curTrapKind_", curTrapKind_);
+        a("reissueFrame_", reissueFrame_);
+        a.vec("trapStack_", trapStack_, 64);
+        a.vec("microStack_", microStack_, 4096);
+        a("pendingIntLevel_", pendingIntLevel_);
+        a("mcheckCause_", mcheckCause_);
+        a("lat", lat);
+    }
 };
 
 

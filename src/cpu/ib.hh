@@ -20,8 +20,6 @@
 namespace vax
 {
 
-namespace snap { class Serializer; class Deserializer; }
-
 class InstructionBuffer
 {
   public:
@@ -108,16 +106,24 @@ class InstructionBuffer
         pendingSkip_ = 0;
     }
 
-    /** @{ Checkpoint/restore (capacity is config, checked only). */
-    void save(snap::Serializer &s) const;
-    void restore(snap::Deserializer &d);
-    /** @} */
-
   private:
     std::vector<uint8_t> bytes_;
     unsigned head_ = 0;
     unsigned count_ = 0;
     unsigned pendingSkip_ = 0;
+
+  public:
+    /** Checkpoint fields, in image order (support/archive.hh). */
+    template <class A>
+    void
+    fields(A &a)
+    {
+        a.check("IB capacity", capacity());
+        a("head_", head_);
+        a("count_", count_);
+        a("pendingSkip_", pendingSkip_);
+        a("bytes_", bytes_);
+    }
 };
 
 } // namespace vax

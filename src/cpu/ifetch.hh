@@ -21,8 +21,6 @@
 namespace vax
 {
 
-namespace snap { class Serializer; class Deserializer; }
-
 class IFetch
 {
   public:
@@ -59,11 +57,6 @@ class IFetch
 
     VirtAddr viba() const { return viba_; }
 
-    /** @{ Checkpoint/restore. */
-    void save(snap::Serializer &s) const;
-    void restore(snap::Deserializer &d);
-    /** @} */
-
   private:
     void acceptLongword(uint32_t data);
     /** Fill collection, redirect settling and miss gating. */
@@ -79,6 +72,20 @@ class IFetch
     VirtAddr itbMissVa_ = 0;
     bool awaitingFill_ = false;
     bool discardFill_ = false;
+
+  public:
+    /** Checkpoint fields, in image order (support/archive.hh). */
+    template <class A>
+    void
+    fields(A &a)
+    {
+        a("viba_", viba_);
+        a("redirectDelay_", redirectDelay_);
+        a("itbMiss_", itbMiss_);
+        a("itbMissVa_", itbMissVa_);
+        a("awaitingFill_", awaitingFill_);
+        a("discardFill_", discardFill_);
+    }
 };
 
 } // namespace vax

@@ -19,8 +19,6 @@
 namespace vax
 {
 
-namespace snap { class Serializer; class Deserializer; }
-
 class InterruptController
 {
   public:
@@ -54,16 +52,23 @@ class InterruptController
     uint64_t devicePosts() const { return devicePosts_; }
     uint64_t softwareRequests() const { return swRequests_; }
 
-    /** @{ Checkpoint/restore. */
-    void save(snap::Serializer &s) const;
-    void restore(snap::Deserializer &d);
-    /** @} */
-
   private:
     uint32_t deviceLines_ = 0;  ///< bit per level 16-31
     uint16_t sisr_ = 0;         ///< bit per level 1-15
     uint64_t devicePosts_ = 0;
     uint64_t swRequests_ = 0;
+
+  public:
+    /** Checkpoint fields, in image order (support/archive.hh). */
+    template <class A>
+    void
+    fields(A &a)
+    {
+        a("deviceLines_", deviceLines_);
+        a("sisr_", sisr_);
+        a("devicePosts_", devicePosts_);
+        a("swRequests_", swRequests_);
+    }
 };
 
 /**
@@ -107,15 +112,21 @@ class IntervalTimer
     static constexpr uint32_t runBit = 1;
     static constexpr uint32_t intEnableBit = 1 << 6;
 
-    /** @{ Checkpoint/restore. */
-    void save(snap::Serializer &s) const;
-    void restore(snap::Deserializer &d);
-    /** @} */
-
   private:
     uint32_t iccs_ = 0;
     uint32_t nicr_ = 0;
     uint32_t icr_ = 0;
+
+  public:
+    /** Checkpoint fields, in image order (support/archive.hh). */
+    template <class A>
+    void
+    fields(A &a)
+    {
+        a("iccs_", iccs_);
+        a("nicr_", nicr_);
+        a("icr_", icr_);
+    }
 };
 
 } // namespace vax

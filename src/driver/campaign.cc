@@ -25,7 +25,7 @@
 #include "support/logging.hh"
 #include "support/parse.hh"
 #include "support/sim_error.hh"
-#include "support/snapshot.hh"
+#include "support/archive.hh"
 #include "support/stats.hh"
 #include "workload/experiments.hh"
 
@@ -238,6 +238,53 @@ jobFile(const std::string &spool, size_t index,
     return spool + "/" + jobTokenName(index) + "-" +
         sanitizeName(name) + ext;
 }
+
+/** A finished job's .result fields (support/archive.hh): telemetry,
+ *  histogram and counters. */
+struct ResultFile
+{
+    ExperimentResult &r;
+
+    template <class A>
+    void
+    fields(A &a)
+    {
+        a.section("result.meta", [&] {
+            a("name", r.name);
+            a("wallSeconds", r.wallSeconds);
+            a("startSeconds", r.startSeconds);
+            a("worker", r.worker);
+            a("retries", r.retries);
+            a("resumeCycle", r.resumeCycle);
+            a("retryWallSeconds", r.retryWallSeconds);
+            a("fence", r.fence);
+        });
+        a.section("result.hist", [&] { a.visit(r.hist); });
+        a.section("result.hw", [&] { a.visit(r.hw); });
+    }
+};
+
+/** The manifest's fields: the job list a --resume must match. */
+struct Manifest
+{
+    const std::vector<SimJob> &jobs;
+
+    template <class A>
+    void
+    fields(A &a)
+    {
+        a.section("pool.manifest", [&] {
+            a.check("job count", uint64_t(jobs.size()));
+            for (const SimJob &j : jobs) {
+                a.check("workload", j.profile.name);
+                a.check("workload seed", j.profile.seed);
+                a.check("machine seed", j.sim.seed);
+                a.check("cycle budget", j.cycles);
+                a.check("job weight", j.weight);
+            }
+        });
+    }
+};
 
 } // anonymous namespace
 
@@ -502,24 +549,8 @@ bool
 writeResultFile(const std::string &path, const ExperimentResult &r)
 {
     snap::Serializer s;
-    s.beginSection("result.meta");
-    s.putString(r.name);
-    s.putDouble(r.wallSeconds);
-    s.putDouble(r.startSeconds);
-    s.putU32(r.worker);
-    s.putU32(r.retries);
-    s.putU64(r.resumeCycle);
-    s.putDouble(r.retryWallSeconds);
-    s.putU64(r.fence);
-    s.endSection();
-
-    s.beginSection("result.hist");
-    r.hist.save(s);
-    s.endSection();
-
-    s.beginSection("result.hw");
-    r.hw.save(s);
-    s.endSection();
+    // Saving only reads through the list.
+    snap::save(s, ResultFile{const_cast<ExperimentResult &>(r)});
     return s.writeFile(path);
 }
 
@@ -550,24 +581,8 @@ readResultFileChecked(const std::string &path, ExperimentResult *out)
         return false;
     snap::Deserializer d = snap::Deserializer::fromFile(path);
     ExperimentResult r;
-    d.beginSection("result.meta");
-    r.name = d.getString();
-    r.wallSeconds = d.getDouble();
-    r.startSeconds = d.getDouble();
-    r.worker = d.getU32();
-    r.retries = d.getU32();
-    r.resumeCycle = d.getU64();
-    r.retryWallSeconds = d.getDouble();
-    r.fence = d.getU64();
-    d.endSection();
-
-    d.beginSection("result.hist");
-    r.hist.restore(d);
-    d.endSection();
-
-    d.beginSection("result.hw");
-    r.hw.restore(d);
-    d.endSection();
+    ResultFile file{r};
+    snap::restore(d, file);
     d.finish();
     *out = std::move(r);
     return true;
@@ -578,16 +593,7 @@ writeManifest(const std::string &spool,
               const std::vector<SimJob> &jobs)
 {
     snap::Serializer s;
-    s.beginSection("pool.manifest");
-    s.putU64(jobs.size());
-    for (const SimJob &j : jobs) {
-        s.putString(j.profile.name);
-        s.putU64(j.profile.seed);
-        s.putU64(j.sim.seed);
-        s.putU64(j.cycles);
-        s.putU64(j.weight);
-    }
-    s.endSection();
+    snap::save(s, Manifest{jobs});
     // Nothing about the campaign is resumable without the manifest,
     // so a write that stays failed is fatal -- but a *transient*
     // failure at the very first spool write (an ENOSPC race, a flaky
@@ -615,20 +621,8 @@ checkManifest(const std::string &spool,
               spool.c_str());
     try {
         snap::Deserializer d = snap::Deserializer::fromFile(path);
-        d.beginSection("pool.manifest");
-        d.expectU64(jobs.size(), "job count");
-        for (const SimJob &j : jobs) {
-            std::string name = d.getString();
-            if (name != j.profile.name)
-                fatal("--resume: manifest job '%s' does not match "
-                      "this run's job '%s' (different composite)",
-                      name.c_str(), j.profile.name.c_str());
-            d.expectU64(j.profile.seed, "workload seed");
-            d.expectU64(j.sim.seed, "machine seed");
-            d.expectU64(j.cycles, "cycle budget");
-            d.expectU64(j.weight, "job weight");
-        }
-        d.endSection();
+        Manifest manifest{jobs};
+        snap::restore(d, manifest);
         d.finish();
     } catch (const snap::SnapshotError &e) {
         fatal("--resume: %s", e.what());

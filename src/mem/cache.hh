@@ -117,17 +117,19 @@ class Cache
     uint32_t numSets() const { return sets_; }
     uint32_t numWays() const { return ways_; }
 
-    /** @{ Checkpoint/restore: tags, replacement RNG, parity-disable
-     *  state and stats (geometry is config, checked only). */
-    void save(snap::Serializer &s) const;
-    void restore(snap::Deserializer &d);
-    /** @} */
-
   private:
     struct Line
     {
         bool valid = false;
         uint32_t tag = 0;
+
+        template <class A>
+        void
+        fields(A &a)
+        {
+            a("valid", valid);
+            a("tag", tag);
+        }
     };
 
     /** Geometry is asserted power-of-two at construction, so the
@@ -174,6 +176,26 @@ class Cache
     FaultInjector *faults_ = nullptr;
     uint32_t parityErrors_ = 0;
     bool disabled_ = false;
+
+  public:
+    /** Checkpoint fields (support/archive.hh): tags, stats,
+     *  replacement RNG and parity-disable state; the geometry is
+     *  configuration, checked only. */
+    template <class A>
+    void
+    fields(A &a)
+    {
+        a.check("cache sets", sets_);
+        a.check("cache ways", ways_);
+        a.check("cache block bytes", blockBytes_);
+        a("lines_", lines_);
+        a("stats_", stats_);
+        a.codec(
+            "rng_", [&] { return rng_.state(); },
+            [&](uint64_t s) { rng_.setState(s); });
+        a("parityErrors_", parityErrors_);
+        a("disabled_", disabled_);
+    }
 };
 
 } // namespace vax

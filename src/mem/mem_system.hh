@@ -50,8 +50,6 @@
 namespace vax
 {
 
-namespace snap { class Serializer; class Deserializer; }
-
 /** Status of an EBOX data-stream access. */
 enum class MemStatus : uint8_t {
     Ok,              ///< completed this cycle (data valid for reads)
@@ -182,14 +180,6 @@ class MemSystem
     /** Register this subsystem (and every component) under prefix. */
     void regStats(stats::Registry &r, const std::string &prefix) const;
 
-    /** @{ Checkpoint/restore of the whole memory subsystem: physical
-     *  memory, cache, TB, write buffer, SBI, in-flight fill/write
-     *  bookkeeping and the fault injector's schedule position.  IO
-     *  write hooks are wiring (re-registered by the harness). */
-    void save(snap::Serializer &s) const;
-    void restore(snap::Deserializer &d);
-    /** @} */
-
   private:
     enum class FillKind : uint8_t { None, Ebox, Ib };
 
@@ -254,6 +244,56 @@ class MemSystem
     uint64_t dataReads_ = 0;
     uint64_t dataWrites_ = 0;
     uint64_t ibFetches_ = 0;
+
+  public:
+    /** Checkpoint fields of the whole memory subsystem, in image order
+     *  (support/archive.hh).  The timing configuration is fingerprinted,
+     *  since a snapshot's future depends on it, and so is the fault
+     *  injector's presence.  IO write hooks are wiring (re-registered
+     *  by the harness). */
+    template <class A>
+    void
+    fields(A &a)
+    {
+        a.section("mem", [&] {
+            a.check("read-miss penalty", cfg_.readMissPenalty);
+            a.check("write-drain cycles", cfg_.writeDrainCycles);
+            a.check("IB fill penalty", cfg_.ibFillPenalty);
+            a("mapEnable_", mapEnable_);
+            a("fill_", fill_);
+            a("fillPa_", fillPa_);
+            a("eboxReadActive_", eboxReadActive_);
+            a("eboxReadQueued_", eboxReadQueued_);
+            a("eboxReadPa_", eboxReadPa_);
+            a("eboxReadBytes_", eboxReadBytes_);
+            a("eboxReadReady_", eboxReadReady_);
+            a("eboxReadData_", eboxReadData_);
+            a("eboxWritePending_", eboxWritePending_);
+            a("eboxWritePa_", eboxWritePa_);
+            a("eboxWriteData_", eboxWriteData_);
+            a("eboxWriteBytes_", eboxWriteBytes_);
+            a("eboxWriteDone_", eboxWriteDone_);
+            a("ibFillActive_", ibFillActive_);
+            a("ibFillQueued_", ibFillQueued_);
+            a("ibFillPa_", ibFillPa_);
+            a("ibFillReady_", ibFillReady_);
+            a("ibFillData_", ibFillData_);
+            a("eboxPortUsed_", eboxPortUsed_);
+            a("dataReads_", dataReads_);
+            a("dataWrites_", dataWrites_);
+            a("ibFetches_", ibFetches_);
+            a("wb_", wb_);
+            a("sbi_", sbi_);
+        });
+        a.section("mem.cache", [&] { cache_.fields(a); });
+        a.section("mem.tb", [&] { tb_.fields(a); });
+        a.section("mem.phys", [&] { phys_.fields(a); });
+        a.section("mem.faults", [&] {
+            a.check("fault injector", faults_ != nullptr);
+            if (faults_)
+                faults_->fields(a);
+        });
+    }
 };
 
 } // namespace vax

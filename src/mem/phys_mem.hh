@@ -17,8 +17,6 @@
 namespace vax
 {
 
-namespace snap { class Serializer; class Deserializer; }
-
 /**
  * The machine's physical memory.
  *
@@ -113,16 +111,6 @@ class PhysicalMemory
     size_t pendingRegions() const { return deferred_.size(); }
     /** @} */
 
-    /** @{ Checkpoint/restore.  Mostly-zero pages compress well, so
-     *  the image is stored run-length encoded.  save() materializes
-     *  every pending region first, so the bytes do not depend on
-     *  which regions were touched; restore() drops them all, since the
-     *  snapshot carries the bytes and a later touch must not produce
-     *  a region over them. */
-    void save(snap::Serializer &s) const;
-    void restore(snap::Deserializer &d);
-    /** @} */
-
   private:
     struct Deferred
     {
@@ -143,6 +131,30 @@ class PhysicalMemory
     // holds, so even a const save() may do it.
     mutable std::vector<Deferred> deferred_; ///< not yet touched
     mutable std::vector<uint64_t> pendingPages_; ///< bit per page
+
+  public:
+    /** Checkpoint fields (support/archive.hh).  Mostly-zero pages
+     *  compress well, so the image is run-length encoded.  A reader
+     *  sees every pending region built, so the bytes do not depend on
+     *  which regions were touched; a restore drops them all, since the
+     *  snapshot carries the bytes and a later touch must not produce a
+     *  region over them. */
+    template <class A>
+    void
+    fields(A &a)
+    {
+        a.check("physical memory size", size_);
+        a.blob(
+            "data_", data_, size_,
+            [&] {
+                while (!deferred_.empty())
+                    materializeAt(deferred_.size() - 1);
+            },
+            [&] {
+                deferred_.clear();
+                pendingPages_.clear();
+            });
+    }
 };
 
 } // namespace vax

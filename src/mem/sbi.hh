@@ -20,8 +20,6 @@
 namespace vax
 {
 
-namespace snap { class Serializer; class Deserializer; }
-
 class Sbi
 {
   public:
@@ -66,15 +64,21 @@ class Sbi
                     "cache-fill transactions carried", &transactions_);
     }
 
-    /** @{ Checkpoint/restore (the injector pointer is wiring). */
-    void save(snap::Serializer &s) const;
-    void restore(snap::Deserializer &d);
-    /** @} */
-
   private:
     uint32_t remaining_ = 0;
     uint64_t transactions_ = 0;
     FaultInjector *faults_ = nullptr;
+
+  public:
+    /** Checkpoint fields (support/archive.hh); the injector pointer is
+     *  wiring. */
+    template <class A>
+    void
+    fields(A &a)
+    {
+        a("remaining_", remaining_);
+        a("transactions_", transactions_);
+    }
 };
 
 } // namespace vax

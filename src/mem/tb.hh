@@ -92,17 +92,21 @@ class TranslationBuffer
     /** Register stats and derived miss ratios under prefix. */
     void regStats(stats::Registry &r, const std::string &prefix) const;
 
-    /** @{ Checkpoint/restore: both entry halves and the stats. */
-    void save(snap::Serializer &s) const;
-    void restore(snap::Deserializer &d);
-    /** @} */
-
   private:
     struct Entry
     {
         bool valid = false;
         uint32_t key = 0; ///< region (2 bits) | VPN
         uint32_t pte = 0;
+
+        template <class A>
+        void
+        fields(A &a)
+        {
+            a("valid", valid);
+            a("key", key);
+            a("pte", pte);
+        }
     };
 
     Entry *entryFor(VirtAddr va);
@@ -112,6 +116,19 @@ class TranslationBuffer
     std::vector<Entry> system_;
     TbStats stats_;
     FaultInjector *faults_ = nullptr;
+
+  public:
+    /** Checkpoint fields, in image order (support/archive.hh). */
+    template <class A>
+    void
+    fields(A &a)
+    {
+        a.check("TB process entries", uint32_t(process_.size()));
+        a("process_", process_);
+        a.check("TB system entries", uint32_t(system_.size()));
+        a("system_", system_);
+        a("stats_", stats_);
+    }
 };
 
 } // namespace vax

@@ -19,8 +19,6 @@
 namespace vax
 {
 
-namespace snap { class Serializer; class Deserializer; }
-
 class WriteBuffer
 {
   public:
@@ -54,14 +52,19 @@ class WriteBuffer
                     &writesAccepted_);
     }
 
-    /** @{ Checkpoint/restore. */
-    void save(snap::Serializer &s) const;
-    void restore(snap::Deserializer &d);
-    /** @} */
-
   private:
     uint32_t remaining_ = 0;
     uint64_t writesAccepted_ = 0;
+
+  public:
+    /** Checkpoint fields, in image order (support/archive.hh). */
+    template <class A>
+    void
+    fields(A &a)
+    {
+        a("remaining_", remaining_);
+        a("writesAccepted_", writesAccepted_);
+    }
 };
 
 } // namespace vax

@@ -5,7 +5,6 @@
 #include "mem/page_table.hh"
 #include "support/bitutil.hh"
 #include "support/logging.hh"
-#include "support/snapshot.hh"
 #include "support/stats.hh"
 #include "support/trace.hh"
 
@@ -544,54 +543,6 @@ VmsLite::buildKernel()
     if (kernelPa_ + image.size() > arenaBasePa_)
         fatal("VMS-lite: kernel image too large");
     phys.load(kernelPa_, image);
-}
-
-void
-VmsLite::save(snap::Serializer &s) const
-{
-    // Everything the kernel mutates lives in guest physical memory,
-    // which the machine snapshot carries; the host members here are a
-    // deterministic function of boot().  What must be verified is
-    // that the restoring harness rebuilt the SAME kernel: layout,
-    // scheduler parameters and process population.
-    s.beginSection("os");
-    s.putBool(booted_);
-    s.putU32(cfg_.quantumTicks);
-    s.putU32(cfg_.timerIntervalCycles);
-    s.putU32(cfg_.userP0Pages);
-    s.putU32(static_cast<uint32_t>(procs_.size()));
-    s.putU32(kernelPa_);
-    s.putU32(kernelVa_);
-    s.putU32(bootVa_);
-    s.putU32(ticksPa_);
-    s.putU32(mchecksPa_);
-    s.putU32(mmioPa_);
-    s.putU32(mbxPa_);
-    s.endSection();
-}
-
-void
-VmsLite::restore(snap::Deserializer &d)
-{
-    d.beginSection("os");
-    bool wasBooted = d.getBool();
-    if (wasBooted != booted_)
-        throw snap::SnapshotError(
-            "snapshot: OS boot state differs (restore into a machine "
-            "prepared the same way as the saved one)");
-    d.expectU32(cfg_.quantumTicks, "scheduler quantum");
-    d.expectU32(cfg_.timerIntervalCycles, "timer interval");
-    d.expectU32(cfg_.userP0Pages, "user P0 pages");
-    d.expectU32(static_cast<uint32_t>(procs_.size()),
-                "process count");
-    d.expectU32(kernelPa_, "kernel PA");
-    d.expectU32(kernelVa_, "kernel VA");
-    d.expectU32(bootVa_, "boot VA");
-    d.expectU32(ticksPa_, "ticks PA");
-    d.expectU32(mchecksPa_, "mchecks PA");
-    d.expectU32(mmioPa_, "monitor CSR PA");
-    d.expectU32(mbxPa_, "mailbox PA");
-    d.endSection();
 }
 
 } // namespace vax

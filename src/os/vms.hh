@@ -26,8 +26,6 @@
 namespace vax
 {
 
-namespace snap { class Serializer; class Deserializer; }
-
 /** A user program image to load as a process (P0 space, base 0). */
 struct UserProgram
 {
@@ -120,15 +118,6 @@ class VmsLite
     /** Physical address of process p's P0 image (for host checks). */
     PhysAddr processImagePa(unsigned p) const;
 
-    /** @{ Checkpoint/restore.  All kernel state lives in guest
-     *  physical memory (saved with the machine); the host side is a
-     *  deterministic function of boot(), so this records only a
-     *  layout fingerprint and verifies it on restore -- a snapshot
-     *  taken under one kernel build cannot be resumed under another. */
-    void save(snap::Serializer &s) const;
-    void restore(snap::Deserializer &d);
-    /** @} */
-
   private:
     /** What the kernel's process table needs of a loaded program. */
     struct Process
@@ -167,6 +156,32 @@ class VmsLite
     VirtAddr bootVa_ = 0;
     PhysAddr ticksPa_ = 0;
     PhysAddr mchecksPa_ = 0;
+
+  public:
+    /** Checkpoint fields (support/archive.hh).  All kernel state lives
+     *  in guest physical memory, saved with the machine; the host side
+     *  is a deterministic function of boot(), so this is only a layout
+     *  fingerprint -- a snapshot taken under one kernel build cannot be
+     *  resumed under another, or into a machine prepared differently. */
+    template <class A>
+    void
+    fields(A &a)
+    {
+        a.section("os", [&] {
+            a.check("boot state", booted_);
+            a.check("scheduler quantum", cfg_.quantumTicks);
+            a.check("timer interval", cfg_.timerIntervalCycles);
+            a.check("user P0 pages", cfg_.userP0Pages);
+            a.check("process count", uint32_t(procs_.size()));
+            a.check("kernel PA", kernelPa_);
+            a.check("kernel VA", kernelVa_);
+            a.check("boot VA", bootVa_);
+            a.check("ticks PA", ticksPa_);
+            a.check("mchecks PA", mchecksPa_);
+            a.check("monitor CSR PA", mmioPa_);
+            a.check("mailbox PA", mbxPa_);
+        });
+    }
 };
 
 } // namespace vax

@@ -7,10 +7,10 @@
  * fields).  Each record names its counters once, in a
  * `static constexpr Counter<R> fields[]` table in declaration order:
  * registry leaf name, one-line description, member.  The walkers
- * below are the only code that loops over counters -- the weighted
- * composite merge, checkpoint save and restore, stats registration
- * and the any-nonzero test -- so adding a counter is one declaration
- * plus one table entry.  A `static_assert(counter::covers<R>())`
+ * below -- the weighted composite merge, stats registration and the
+ * any-nonzero test -- and the checkpoint archives (support/archive.hh)
+ * are the only code that loops over counters, so adding a counter is
+ * one declaration plus one table entry.  A `static_assert(counter::covers<R>())`
  * beside each record ties the table to the record's size, so a
  * counter added without an entry does not compile.
  *
@@ -25,7 +25,6 @@
 #include <iterator>
 #include <string>
 
-#include "support/snapshot.hh"
 #include "support/stats.hh"
 
 namespace vax
@@ -60,22 +59,6 @@ accumulate(R &into, const R &from, uint64_t w = 1)
 {
     for (const Counter<R> &c : R::fields)
         into.*c.member += from.*c.member * w;
-}
-
-template <class R>
-void
-save(snap::Serializer &s, const R &rec)
-{
-    for (const Counter<R> &c : R::fields)
-        s.putU64(rec.*c.member);
-}
-
-template <class R>
-void
-restore(snap::Deserializer &d, R &rec)
-{
-    for (const Counter<R> &c : R::fields)
-        rec.*c.member = d.getU64();
 }
 
 /** Register every counter as a live scalar "<prefix>.<name>". */

@@ -6,7 +6,6 @@
 
 #include "support/logging.hh"
 #include "support/parse.hh"
-#include "support/snapshot.hh"
 #include "support/trace.hh"
 
 namespace vax
@@ -209,28 +208,6 @@ FaultInjector::takeMachineCheck()
               mcheckCauseName(c));
     }
     return c;
-}
-
-void
-FaultInjector::save(snap::Serializer &s) const
-{
-    // The config (rates, schedule, seed) is part of the machine's
-    // construction; only the draw position is state.
-    s.putU64(rng_.state());
-    s.putU64(cycle_);
-    s.putU64(nextParityCycle_);
-    s.putU8(static_cast<uint8_t>(pending_));
-    counter::save(s, stats_);
-}
-
-void
-FaultInjector::restore(snap::Deserializer &d)
-{
-    rng_.setState(d.getU64());
-    cycle_ = d.getU64();
-    nextParityCycle_ = static_cast<size_t>(d.getU64());
-    pending_ = static_cast<McheckCause>(d.getU8());
-    counter::restore(d, stats_);
 }
 
 } // namespace vax

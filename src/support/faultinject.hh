@@ -152,13 +152,6 @@ class FaultInjector
     const FaultStats &stats() const { return stats_; }
     const FaultConfig &config() const { return cfg_; }
 
-    /** @{ Checkpoint/restore: RNG state, cycle clock, schedule
-     *  position, pending check and stats -- a restored machine sees
-     *  the identical remaining fault schedule. */
-    void save(snap::Serializer &s) const;
-    void restore(snap::Deserializer &d);
-    /** @} */
-
   private:
     FaultConfig cfg_;
     Rng rng_;
@@ -166,6 +159,23 @@ class FaultInjector
     size_t nextParityCycle_ = 0;
     McheckCause pending_ = McheckCause::None;
     FaultStats stats_;
+
+  public:
+    /** Checkpoint fields (support/archive.hh): the draw position, not
+     *  the config (rates, schedule, seed), which is construction.  A
+     *  restored machine sees the identical remaining fault schedule. */
+    template <class A>
+    void
+    fields(A &a)
+    {
+        a.codec(
+            "rng_", [&] { return rng_.state(); },
+            [&](uint64_t s) { rng_.setState(s); });
+        a("cycle_", cycle_);
+        a("nextParityCycle_", nextParityCycle_);
+        a("pending_", pending_);
+        a("stats_", stats_);
+    }
 };
 
 } // namespace vax

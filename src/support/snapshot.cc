@@ -481,49 +481,22 @@ Deserializer::getBytesRle(void *out, size_t len)
     }
 }
 
-std::vector<uint64_t>
-Deserializer::getVecU64()
+void
+Deserializer::getVecU64(std::vector<uint64_t> &v)
 {
     uint64_t count = getU64();
-    // The RLE body can be far smaller than count * 8, so bound the
-    // allocation independently of the remaining byte count.
-    if (count > (1u << 28))
-        SNAP_FAIL("section '%s': vector count %llu is implausible "
-                  "(corrupt length field)", sectionName_.c_str(),
-                  static_cast<unsigned long long>(count));
-    std::vector<uint8_t> bytes(static_cast<size_t>(count) * 8);
+    if (count != v.size())
+        SNAP_FAIL("section '%s': vector holds %llu elements, this "
+                  "machine's %zu", sectionName_.c_str(),
+                  static_cast<unsigned long long>(count), v.size());
+    std::vector<uint8_t> bytes(v.size() * 8);
     getBytesRle(bytes.data(), bytes.size());
-    std::vector<uint64_t> v(static_cast<size_t>(count));
     for (size_t i = 0; i < v.size(); ++i) {
         uint64_t x = 0;
         for (int k = 0; k < 8; ++k)
             x |= static_cast<uint64_t>(bytes[i * 8 + k]) << (8 * k);
         v[i] = x;
     }
-    return v;
-}
-
-void
-Deserializer::expectU32(uint32_t expected, const char *field)
-{
-    uint32_t got = getU32();
-    if (got != expected)
-        SNAP_FAIL("section '%s': %s is %u in the snapshot but %u in "
-                  "this machine (snapshot from a different "
-                  "configuration)", sectionName_.c_str(), field, got,
-                  expected);
-}
-
-void
-Deserializer::expectU64(uint64_t expected, const char *field)
-{
-    uint64_t got = getU64();
-    if (got != expected)
-        SNAP_FAIL("section '%s': %s is %llu in the snapshot but %llu "
-                  "in this machine (snapshot from a different "
-                  "configuration)", sectionName_.c_str(), field,
-                  static_cast<unsigned long long>(got),
-                  static_cast<unsigned long long>(expected));
 }
 
 void

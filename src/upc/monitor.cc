@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "support/logging.hh"
-#include "support/snapshot.hh"
 #include "support/stats.hh"
 
 namespace vax
@@ -79,49 +78,10 @@ Histogram::regStats(stats::Registry &r, const std::string &prefix) const
                  });
 }
 
-void
-Histogram::save(snap::Serializer &s) const
-{
-    s.putVecU64(normal);
-    s.putVecU64(stalled);
-}
-
-void
-Histogram::restore(snap::Deserializer &d)
-{
-    std::vector<uint64_t> n = d.getVecU64();
-    std::vector<uint64_t> st = d.getVecU64();
-    if (n.size() != normal.size() || st.size() != stalled.size())
-        throw snap::SnapshotError(
-            "snapshot: histogram bank size mismatch (snapshot from a "
-            "different control-store capacity)");
-    std::copy(n.begin(), n.end(), normal.begin());
-    std::copy(st.begin(), st.end(), stalled.begin());
-}
-
 UpcMonitor::~UpcMonitor()
 {
     if (ebox_)
         ebox_->detachMonitor(this);
-}
-
-void
-UpcMonitor::save(snap::Serializer &s) const
-{
-    s.beginSection("upc.monitor");
-    hist_.save(s);
-    s.putBool(collecting_);
-    s.endSection();
-}
-
-void
-UpcMonitor::restore(snap::Deserializer &d)
-{
-    d.beginSection("upc.monitor");
-    hist_.restore(d);
-    // The restored CSR state may differ from the pre-restore one.
-    setCollecting(d.getBool());
-    d.endSection();
 }
 
 void

@@ -35,8 +35,6 @@ namespace stats
 class Registry;
 } // namespace stats
 
-namespace snap { class Serializer; class Deserializer; }
-
 /** Raw histogram data: two counter banks. */
 struct Histogram
 {
@@ -71,12 +69,17 @@ struct Histogram
     /** Register bank totals and the stall fraction under prefix. */
     void regStats(stats::Registry &r, const std::string &prefix) const;
 
-    /** @{ Checkpoint/restore.  Banks are mostly zeros for short
-     *  runs, so they are stored run-length encoded.  restore() copies
-     *  into the existing banks, so pointers into them stay valid. */
-    void save(snap::Serializer &s) const;
-    void restore(snap::Deserializer &d);
-    /** @} */
+    /** Checkpoint fields (support/archive.hh).  Banks are mostly
+     *  zeros for short runs, so they are run-length encoded; a restore
+     *  writes into the existing banks, so pointers into them stay
+     *  valid. */
+    template <class A>
+    void
+    fields(A &a)
+    {
+        a.blob("normal", normal);
+        a.blob("stalled", stalled);
+    }
 };
 
 /**
@@ -156,11 +159,6 @@ class UpcMonitor
     uint64_t normalCount(UAddr a) const { return hist_.normal[a]; }
     uint64_t stalledCount(UAddr a) const { return hist_.stalled[a]; }
 
-    /** @{ Checkpoint/restore: both banks and the collecting flag. */
-    void save(snap::Serializer &s) const;
-    void restore(snap::Deserializer &d);
-    /** @} */
-
   private:
     /** Set the CSR's collect state and re-point the EBOX's banks. */
     void
@@ -174,6 +172,21 @@ class UpcMonitor
     Histogram hist_;
     bool collecting_ = true;
     Ebox *ebox_ = nullptr;
+
+  public:
+    /** Checkpoint fields (support/archive.hh): both banks and the
+     *  collecting flag, whose restore re-points the EBOX's banks. */
+    template <class A>
+    void
+    fields(A &a)
+    {
+        a.section("upc.monitor", [&] {
+            a("hist_", hist_);
+            a.codec(
+                "collecting_", [&] { return collecting_; },
+                [&](bool on) { setCollecting(on); });
+        });
+    }
 };
 
 } // namespace vax

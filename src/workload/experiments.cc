@@ -9,7 +9,7 @@
 #include "support/logging.hh"
 #include "support/random.hh"
 #include "support/sim_error.hh"
-#include "support/snapshot.hh"
+#include "support/archive.hh"
 #include "support/stats.hh"
 #include "workload/codegen.hh"
 
@@ -38,26 +38,6 @@ HwTotals::regStats(stats::Registry &r, const std::string &prefix) const
     if (counter::any(faults))
         counter::regStats(r, prefix + ".faults", faults);
     counter::regStats(r, prefix, *this);
-}
-
-void
-HwTotals::save(snap::Serializer &s) const
-{
-    counter::save(s, counters);
-    counter::save(s, cache);
-    counter::save(s, tb);
-    counter::save(s, faults);
-    counter::save(s, *this);
-}
-
-void
-HwTotals::restore(snap::Deserializer &d)
-{
-    counter::restore(d, counters);
-    counter::restore(d, cache);
-    counter::restore(d, tb);
-    counter::restore(d, faults);
-    counter::restore(d, *this);
 }
 
 void
@@ -250,87 +230,13 @@ Experiment::takeResult()
 void
 Experiment::save(snap::Serializer &s) const
 {
-    s.beginSection("exp.meta");
-    s.putString(profile_.name);
-    s.putU64(profile_.seed);
-    s.putU32(profile_.numUsers);
-    s.putU64(cycles_);
-    s.endSection();
-
-    cpu_.save(s);
-    monitor_.save(s);
-    os_.save(s);
-
-    s.beginSection("exp.rte");
-    s.putU64(diskRng_.state());
-    s.putU64(rte_.state());
-    s.putU64(nextPoll_);
-    s.putVecU64(nextLine_);
-    s.putU64(diskQueue_.size());
-    for (const DiskOp &op : diskQueue_) {
-        s.putU64(op.due);
-        s.putU32(op.proc);
-    }
-    // Partial result counters accumulated by the RTE hooks.
-    s.putU64(result_.hw.terminalLinesIn);
-    s.putU64(result_.hw.terminalLinesOut);
-    s.putU64(result_.hw.diskTransfers);
-    // Watchdog progress, so a restored run times out at the same
-    // simulated point as an uninterrupted one.
-    s.putU64(watchdog_.lastInstructions());
-    s.putU64(watchdog_.lastProgressCycle());
-    s.endSection();
+    snap::save(s, *this);
 }
 
 void
 Experiment::restore(snap::Deserializer &d)
 {
-    d.beginSection("exp.meta");
-    std::string name = d.getString();
-    if (name != profile_.name)
-        throw snap::SnapshotError(
-            "snapshot: checkpoint is for workload '" + name +
-            "', this experiment runs '" + profile_.name + "'");
-    d.expectU64(profile_.seed, "workload seed");
-    d.expectU32(profile_.numUsers, "user count");
-    d.expectU64(cycles_, "cycle budget");
-    d.endSection();
-
-    cpu_.restore(d);
-    monitor_.restore(d);
-    os_.restore(d);
-
-    d.beginSection("exp.rte");
-    diskRng_.setState(d.getU64());
-    rte_.setState(d.getU64());
-    nextPoll_ = d.getU64();
-    nextLine_ = d.getVecU64();
-    if (nextLine_.size() != profile_.numUsers)
-        throw snap::SnapshotError(
-            "snapshot: RTE clock count mismatch (corrupt exp.rte "
-            "section)");
-    uint64_t nDisk = d.getU64();
-    if (nDisk > (1u << 20))
-        throw snap::SnapshotError(
-            "snapshot: disk queue length is implausible (corrupt "
-            "exp.rte section)");
-    diskQueue_.clear();
-    diskQueue_.resize(static_cast<size_t>(nDisk));
-    for (DiskOp &op : diskQueue_) {
-        op.due = d.getU64();
-        op.proc = d.getU32();
-    }
-    result_.hw.terminalLinesIn = d.getU64();
-    result_.hw.terminalLinesOut = d.getU64();
-    result_.hw.diskTransfers = d.getU64();
-    uint64_t wdInstr = d.getU64();
-    uint64_t wdCycle = d.getU64();
-    watchdog_.restoreProgress(wdInstr, wdCycle);
-    d.endSection();
-
-    // The wall clock restarts: timeouts budget each attempt, not the
-    // job's cumulative history.
-    wallStart_ = std::chrono::steady_clock::now();
+    snap::restore(d, *this);
 }
 
 bool

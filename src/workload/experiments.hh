@@ -9,6 +9,7 @@
 #ifndef UPC780_WORKLOAD_EXPERIMENTS_HH
 #define UPC780_WORKLOAD_EXPERIMENTS_HH
 
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <string>
@@ -25,6 +26,8 @@
 
 namespace vax
 {
+
+namespace snap { class Serializer; class Deserializer; }
 
 /**
  * Hardware-side measurements the UPC technique cannot see (the paper
@@ -63,14 +66,23 @@ struct HwTotals
 
     /** Register every total (counters, cache, TB, I/O) under prefix. */
     void regStats(stats::Registry &r, const std::string &prefix) const;
-
-    /** @{ Every counter, nested records first (a campaign .result). */
-    void save(snap::Serializer &s) const;
-    void restore(snap::Deserializer &d);
-    /** @} */
 };
 static_assert(counter::covers<HwTotals, HwCounters, CacheStats, TbStats,
                               FaultStats>());
+
+/** HwTotals' checkpoint fields (support/archive.hh; a free function,
+ *  since its member `fields` is its counter table): every counter,
+ *  nested records first, as a campaign .result holds them. */
+template <class A>
+void
+fields(A &a, HwTotals &t)
+{
+    a("counters", t.counters);
+    a("cache", t.cache);
+    a("tb", t.tb);
+    a("faults", t.faults);
+    a.counters(t);
+}
 
 struct ExperimentResult
 {
@@ -193,6 +205,14 @@ class Experiment
     {
         uint64_t due;
         uint32_t proc;
+
+        template <class A>
+        void
+        fields(A &a)
+        {
+            a("due", due);
+            a("proc", proc);
+        }
     };
 
     uint64_t thinkDraw();
@@ -212,6 +232,56 @@ class Experiment
     ForwardProgressWatchdog watchdog_;
     std::chrono::steady_clock::time_point wallStart_;
     uint64_t nextPoll_;
+
+  public:
+    /** Checkpoint fields of the whole simulation, in image order
+     *  (support/archive.hh): the profile fingerprint, the machine, the
+     *  monitor, the OS fingerprint, then the RTE. */
+    template <class A>
+    void
+    fields(A &a)
+    {
+        a.section("exp.meta", [&] {
+            a.check("workload", profile_.name);
+            a.check("workload seed", profile_.seed);
+            a.check("user count", profile_.numUsers);
+            a.check("cycle budget", cycles_);
+        });
+        cpu_.fields(a);
+        monitor_.fields(a);
+        os_.fields(a);
+        a.section("exp.rte", [&] {
+            a.codec(
+                "diskRng_", [&] { return diskRng_.state(); },
+                [&](uint64_t s) { diskRng_.setState(s); });
+            a.codec(
+                "rte_", [&] { return rte_.state(); },
+                [&](uint64_t s) { rte_.setState(s); });
+            a("nextPoll_", nextPoll_);
+            a.blob("nextLine_", nextLine_);
+            a.vec("diskQueue_", diskQueue_, size_t(1) << 20);
+            // Partial result counters accumulated by the RTE hooks.
+            a("result_.hw.terminalLinesIn", result_.hw.terminalLinesIn);
+            a("result_.hw.terminalLinesOut", result_.hw.terminalLinesOut);
+            a("result_.hw.diskTransfers", result_.hw.diskTransfers);
+            // Watchdog progress, so a restored run times out at the
+            // same simulated point as an uninterrupted one.
+            a.codec(
+                "watchdog_",
+                [&] {
+                    return std::array<uint64_t, 2>{
+                        watchdog_.lastInstructions(),
+                        watchdog_.lastProgressCycle()};
+                },
+                [&](const std::array<uint64_t, 2> &p) {
+                    watchdog_.restoreProgress(p[0], p[1]);
+                });
+        });
+        // The wall clock restarts: timeouts budget each attempt, not
+        // the job's cumulative history.
+        if constexpr (A::loading)
+            wallStart_ = std::chrono::steady_clock::now();
+    }
 };
 
 /**

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "support/archive.hh"
 #include "support/counters.hh"
 #include "workload/experiments.hh"
 
@@ -117,6 +118,21 @@ sectionImage(Put put)
     return s.finish();
 }
 
+/** A record's own counters, as an archive walks its fields[] table
+ *  (HwTotals' nested records are not its own). */
+template <class R>
+struct Own
+{
+    R &rec;
+
+    template <class A>
+    void
+    fields(A &a)
+    {
+        a.counters(rec);
+    }
+};
+
 /** Fill every counter of @p rec with a distinct value from @p base. */
 template <class R, size_t N>
 void
@@ -143,7 +159,7 @@ checkRecord(const Want<R> (&want)[N])
             << want[i].name;
 
     std::vector<uint8_t> image = sectionImage(
-        [&a](snap::Serializer &s) { counter::save(s, a); });
+        [&a](snap::Serializer &s) { snap::save(s, Own<R>{a}); });
     EXPECT_EQ(image, sectionImage([&](snap::Serializer &s) {
                   for (const Want<R> &w : want)
                       s.putU64(a.*w.member);
@@ -151,7 +167,8 @@ checkRecord(const Want<R> (&want)[N])
     snap::Deserializer d(image);
     d.beginSection("rec");
     R back;
-    counter::restore(d, back);
+    Own<R> own{back};
+    snap::restore(d, own);
     d.endSection();
     d.finish();
     for (const Want<R> &w : want)
@@ -235,7 +252,7 @@ TEST(CounterRecords, HwTotalsWalksEveryNestedRecord)
             << all[i].name;
 
     std::vector<uint8_t> image =
-        sectionImage([&a](snap::Serializer &s) { a.save(s); });
+        sectionImage([&a](snap::Serializer &s) { snap::save(s, a); });
     EXPECT_EQ(image, sectionImage([&](snap::Serializer &s) {
                   for (const Flat &f : all)
                       s.putU64(f.ref(a));
@@ -243,7 +260,7 @@ TEST(CounterRecords, HwTotalsWalksEveryNestedRecord)
     snap::Deserializer d(image);
     d.beginSection("rec");
     HwTotals back;
-    back.restore(d);
+    snap::restore(d, back);
     d.endSection();
     d.finish();
     for (const Flat &f : all)

@@ -16,8 +16,9 @@
 
 #include "driver/sim_pool.hh"
 #include "mem/mem_system.hh"
-#include "support/snapshot.hh"
+#include "support/archive.hh"
 #include "support/stats.hh"
+#include "tests/field_walk.hh"
 #include "workload/codegen.hh"
 #include "workload/experiments.hh"
 
@@ -199,8 +200,8 @@ TEST(DeferredRegion, SaveProducesPendingRegionsAndRestoreDropsThem)
     eager.setMapEnable(false);
     eager.phys().load(kRegion, pattern());
     snap::Serializer a, b;
-    lazy.mem.save(a);
-    eager.save(b);
+    snap::save(a, lazy.mem);
+    snap::save(b, eager);
     std::vector<uint8_t> ckpt = a.finish();
     EXPECT_EQ(ckpt, b.finish());
     EXPECT_EQ(lazy.produced, 1u);
@@ -209,7 +210,7 @@ TEST(DeferredRegion, SaveProducesPendingRegionsAndRestoreDropsThem)
     // later touch does not produce the region over them.
     DeferredRig restored;
     snap::Deserializer d(ckpt);
-    restored.mem.restore(d);
+    snap::restore(d, restored.mem);
     d.finish();
     EXPECT_EQ(restored.mem.phys().pendingRegions(), 0u);
     restored.mem.phys().write(kRegion + 8, 0x55, 4);
@@ -266,7 +267,8 @@ TEST(LazyImages, LazyMachineMatchesAnEagerOne)
         eager.runChunk();
         lazy.runChunk();
         ASSERT_GT(lazy.pendingImages(), 0u);
-        EXPECT_EQ(machineBytes(eager), machineBytes(lazy));
+        EXPECT_TRUE(machineBytes(eager) == machineBytes(lazy))
+            << firstDifference(eager, lazy);
         EXPECT_EQ(dump(eager), dump(lazy));
     }
 }
@@ -288,7 +290,8 @@ TEST(LazyImages, MidRunCheckpointResumesInAFreshExperiment)
         EXPECT_EQ(second.pendingImages(), 0u);
         first.runChunk();
         second.runChunk();
-        EXPECT_EQ(machineBytes(first), machineBytes(second));
+        EXPECT_TRUE(machineBytes(first) == machineBytes(second))
+            << firstDifference(first, second);
         EXPECT_EQ(dump(first), dump(second));
     }
 }

@@ -11,7 +11,7 @@
 
 #include "mem/mem_system.hh"
 #include "mem/page_table.hh"
-#include "support/snapshot.hh"
+#include "support/archive.hh"
 
 namespace vax::test
 {
@@ -64,7 +64,7 @@ TEST(PhysMem, SparseSnapshotRoundTripsByteIdentically)
     auto image = [](const PhysicalMemory &m) {
         snap::Serializer s;
         s.beginSection("phys");
-        m.save(s);
+        snap::save(s, m);
         s.endSection();
         return s.finish();
     };
@@ -79,7 +79,7 @@ TEST(PhysMem, SparseSnapshotRoundTripsByteIdentically)
     PhysicalMemory back(kSize);
     snap::Deserializer d(saved);
     d.beginSection("phys");
-    back.restore(d);
+    snap::restore(d, back);
     d.endSection();
     EXPECT_EQ(back.read(0x12345, 3), 0x030201u);
     EXPECT_EQ(back.read(kSize - 4, 4), 0xCAFEF00Du);

@@ -13,8 +13,12 @@
  * pool's own seed retry and graceful drain are tested here too.
  */
 
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
+#include <functional>
+#include <memory>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -31,8 +35,9 @@
 #include "driver/sim_pool.hh"
 #include "support/faultinject.hh"
 #include "support/interrupt.hh"
-#include "support/snapshot.hh"
+#include "support/archive.hh"
 #include "tests/campaign_drill.hh"
+#include "tests/field_walk.hh"
 #include "workload/experiments.hh"
 #include "workload/profile.hh"
 
@@ -40,6 +45,7 @@ extern char **environ;
 
 using namespace vax;
 using namespace vax::drill;
+using vax::test::firstDifference;
 
 namespace
 {
@@ -59,8 +65,8 @@ resultBytes(const ExperimentResult &r)
 {
     snap::Serializer s;
     s.beginSection("cmp");
-    r.hist.save(s);
-    r.hw.save(s);
+    snap::save(s, r.hist);
+    snap::save(s, r.hw);
     s.endSection();
     return s.finish();
 }
@@ -114,6 +120,77 @@ shardLogs(const std::string &spool)
     return all;
 }
 
+/** A one-field configuration, fingerprinted as a cache's is. */
+struct Geometry
+{
+    uint32_t ways;
+
+    template <class A>
+    void
+    fields(A &a)
+    {
+        a.section("cfg", [&] { a.check("cache ways", ways); });
+    }
+};
+
+/** image with section name's payload passed through edit and its
+ *  length and CRC recomputed: damage the CRC cannot catch, as a
+ *  writer/reader skew would produce. */
+std::vector<uint8_t>
+rewriteSection(const std::vector<uint8_t> &image, const std::string &name,
+               const std::function<void(std::vector<uint8_t> &)> &edit)
+{
+    auto le = [&](size_t at, int n) {
+        uint64_t v = 0;
+        for (int i = 0; i < n; ++i)
+            v |= uint64_t(image.at(at + i)) << (8 * i);
+        return v;
+    };
+    auto put = [](std::vector<uint8_t> &out, uint64_t v, int n) {
+        for (int i = 0; i < n; ++i)
+            out.push_back(static_cast<uint8_t>(v >> (8 * i)));
+    };
+    size_t at = 12; // magic and format version
+    std::vector<uint8_t> out(image.begin(), image.begin() + at);
+    for (uint64_t nameLen; (nameLen = le(at, 4)) != 0xFFFFFFFFu;) {
+        std::string found(image.begin() + at + 4,
+                          image.begin() + at + 4 + nameLen);
+        size_t body = at + 4 + nameLen + 8;
+        size_t len = le(at + 4 + nameLen, 8);
+        std::vector<uint8_t> payload(image.begin() + body,
+                                     image.begin() + body + len);
+        if (found == name)
+            edit(payload);
+        put(out, nameLen, 4);
+        out.insert(out.end(), found.begin(), found.end());
+        put(out, payload.size(), 8);
+        out.insert(out.end(), payload.begin(), payload.end());
+        put(out, snap::crc32(payload.data(), payload.size()), 4);
+        at = body + len + 4;
+    }
+    out.insert(out.end(), image.begin() + at, image.end());
+    return out;
+}
+
+/** The SnapshotError restoring image into a fresh 20k-cycle
+ *  timesharing-light Experiment raises ("" if it restores). */
+std::string
+restoreError(const std::vector<uint8_t> &image)
+{
+    WorkloadProfile prof = allProfiles()[0];
+    SimConfig sim;
+    sim.seed = prof.seed;
+    Experiment e(prof, 20'000, sim, poolVms());
+    try {
+        snap::Deserializer d(image);
+        e.restore(d);
+        d.finish();
+    } catch (const snap::SnapshotError &err) {
+        return err.what();
+    }
+    return "";
+}
+
 /** What a campaign killed mid-run leaves in a spool before any job
  *  finished: the manifest (job checkpoints are the caller's). */
 void
@@ -154,7 +231,9 @@ TEST(SnapshotFormat, PrimitivesRoundTrip)
     EXPECT_TRUE(d.getBool());
     EXPECT_EQ(d.getDouble(), 3.25);
     EXPECT_EQ(d.getString(), "vax-11/780");
-    EXPECT_EQ(d.getVecU64(), (std::vector<uint64_t>{1, 2, 3}));
+    std::vector<uint64_t> v(3);
+    d.getVecU64(v);
+    EXPECT_EQ(v, (std::vector<uint64_t>{1, 2, 3}));
     d.endSection();
     d.finish();
 }
@@ -266,19 +345,53 @@ TEST(SnapshotFormat, LeftoverSectionBytesRejected)
 TEST(SnapshotFormat, FingerprintMismatchNamesField)
 {
     snap::Serializer s;
-    s.beginSection("cfg");
-    s.putU32(8);
-    s.endSection();
+    snap::save(s, Geometry{8});
     snap::Deserializer d(s.finish());
-    d.beginSection("cfg");
+    Geometry mine{16};
     try {
-        d.expectU32(16, "cache ways");
+        snap::restore(d, mine);
         FAIL() << "config fingerprint mismatch was accepted";
     } catch (const snap::SnapshotError &e) {
         EXPECT_NE(std::string(e.what()).find("cache ways"),
                   std::string::npos)
             << e.what();
     }
+}
+
+TEST(SnapshotFormat, HistogramBankCountMismatchNamesTheBank)
+{
+    WorkloadProfile prof = allProfiles()[0];
+    SimConfig sim;
+    sim.seed = prof.seed;
+    Experiment a(prof, 20'000, sim, poolVms());
+    a.runChunk(5'000);
+    std::vector<uint8_t> image = machineBytes(a);
+    ASSERT_EQ(restoreError(image), "");
+    // The normal bank's element count leads the section; one short
+    // of the machine's must be refused before its bank is read.
+    std::string err = restoreError(
+        rewriteSection(image, "upc.monitor", [](std::vector<uint8_t> &p) {
+            ASSERT_GE(p.size(), 8u);
+            --p[0];
+        }));
+    EXPECT_NE(err.find("field 'upc.monitor.hist_.normal'"),
+              std::string::npos)
+        << err;
+}
+
+TEST(SnapshotFormat, SectionOneFieldShortNamesTheField)
+{
+    WorkloadProfile prof = allProfiles()[0];
+    SimConfig sim;
+    sim.seed = prof.seed;
+    Experiment a(prof, 20'000, sim, poolVms());
+    a.runChunk(5'000);
+    // A writer that forgot the EBOX's last field: lat.alg[3], a u32.
+    std::string err = restoreError(rewriteSection(
+        machineBytes(a), "cpu.ebox",
+        [](std::vector<uint8_t> &p) { p.erase(p.end() - 4, p.end()); }));
+    EXPECT_NE(err.find("field 'cpu.ebox.lat.alg[3]'"), std::string::npos)
+        << err;
 }
 
 // ---------------------------------------------------------------
@@ -297,7 +410,8 @@ TEST(ExperimentSnapshot, ChunkedRunMatchesOneShot)
     // A deliberately awkward chunk size: boundaries land anywhere.
     while (!chunked.runChunk(777)) {
     }
-    EXPECT_EQ(machineBytes(one), machineBytes(chunked));
+    EXPECT_TRUE(machineBytes(one) == machineBytes(chunked))
+        << firstDifference(one, chunked);
 }
 
 TEST(ExperimentSnapshot, RestoreRunToEndIsByteIdentical)
@@ -327,7 +441,8 @@ TEST(ExperimentSnapshot, RestoreRunToEndIsByteIdentical)
         EXPECT_EQ(second.cycle(), first.cycle());
         second.runChunk();
 
-        EXPECT_EQ(machineBytes(uninterrupted), machineBytes(second));
+        EXPECT_TRUE(machineBytes(uninterrupted) == machineBytes(second))
+            << firstDifference(uninterrupted, second);
         EXPECT_EQ(resultBytes(uninterrupted.takeResult()),
                   resultBytes(second.takeResult()));
     }
@@ -346,7 +461,7 @@ TEST(ExperimentSnapshot, SaveRestoreSaveReproducesTheImage)
     snap::Deserializer d(image);
     b.restore(d);
     d.finish();
-    EXPECT_EQ(machineBytes(b), image);
+    EXPECT_TRUE(machineBytes(b) == image) << firstDifference(a, b);
 }
 
 TEST(ExperimentSnapshot, CheckpointAcrossScheduledFaultDelivery)
@@ -379,6 +494,241 @@ TEST(ExperimentSnapshot, CheckpointAcrossScheduledFaultDelivery)
     d.finish();
     second.runChunk();
     EXPECT_EQ(resultBytes(clean), resultBytes(second.takeResult()));
+}
+
+namespace
+{
+
+constexpr uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
+
+uint64_t
+fnv1a(uint64_t h, std::span<const uint8_t> bytes)
+{
+    for (uint8_t b : bytes) {
+        h ^= b;
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+/** What the lock-step test reads of a machine, all through the
+ *  walker: a digest of every field but the bulk blobs, and the few
+ *  fields that pick its restore points and report a divergence. */
+struct Probe
+{
+    uint64_t digest = kFnvBasis;
+    uint64_t upc = 0;
+    uint64_t state = 0;     ///< Ebox::State: 1 read stall, 2 write, 3 re-issue
+    uint64_t trapDepth = 0;
+    uint64_t deviceLines = 0;
+    uint64_t sisr = 0;      ///< software interrupt requests
+    bool writePending = false;
+    bool ibFill = false;
+};
+
+/** Thrown by a probe that needs no digest once it has every field it
+ *  reads: the search for restore points walks only that far. */
+struct ProbeDone
+{
+};
+
+Probe
+probe(const Experiment &e, bool digest = true)
+{
+    // The fields read, in image order: each yielded field is matched
+    // against those not seen yet.
+    static const std::pair<const char *, void (*)(Probe &, uint64_t)>
+        wanted[] = {
+            {"cpu.intc_.deviceLines_",
+             [](Probe &p, uint64_t v) { p.deviceLines = v; }},
+            {"cpu.intc_.sisr_", [](Probe &p, uint64_t v) { p.sisr = v; }},
+            {"cpu.ebox.state_", [](Probe &p, uint64_t v) { p.state = v; }},
+            {"cpu.ebox.upc_", [](Probe &p, uint64_t v) { p.upc = v; }},
+            {"cpu.ebox.trapStack_",
+             [](Probe &p, uint64_t v) { p.trapDepth = v; }},
+            {"mem.eboxWritePending_",
+             [](Probe &p, uint64_t v) { p.writePending = v; }},
+            {"mem.ibFillActive_",
+             [](Probe &p, uint64_t v) { p.ibFill = v; }},
+        };
+    Probe p;
+    size_t next = 0;
+    try {
+        snap::walk(
+            e,
+            [&](const snap::FieldPath &f, std::span<const uint8_t> b) {
+                p.digest = fnv1a(p.digest, b);
+                if (next == std::size(wanted)) {
+                    if (!digest)
+                        throw ProbeDone();
+                    return;
+                }
+                for (size_t j = next; j < std::size(wanted); ++j) {
+                    if (!f.is(wanted[j].first))
+                        continue;
+                    uint64_t v = 0;
+                    for (size_t i = 0; i < b.size() && i < 8; ++i)
+                        v |= uint64_t(b[i]) << (8 * i);
+                    wanted[j].second(p, v);
+                    next = j + 1;
+                    return;
+                }
+            });
+    } catch (ProbeDone) {
+    }
+    return p;
+}
+
+/** The kinds of restore point the lock-step test must cross: a state
+ *  to be in, or (holds null) a plain cycle at or after from. */
+struct PointKind
+{
+    const char *what;
+    bool (*holds)(const Probe &);
+    uint64_t from = 0;
+};
+
+const PointKind kPointKinds[] = {
+    {"EBOX read stall", [](const Probe &p) { return p.state == 1; }},
+    {"EBOX write stall", [](const Probe &p) { return p.state == 2; }},
+    {"EBOX re-issue", [](const Probe &p) { return p.state == 3; }},
+    {"memory write pending", [](const Probe &p) { return p.writePending; }},
+    // A write stall whose queued write has drained: the memory system
+    // has raised write-done, and the EBOX takes it next cycle.
+    {"memory write done, not yet taken",
+     [](const Probe &p) { return p.state == 2 && !p.writePending; }},
+    {"IB fill in flight", [](const Probe &p) { return p.ibFill; }},
+    {"trap stack non-empty", [](const Probe &p) { return p.trapDepth > 0; }},
+    {"device interrupt requested, not yet taken",
+     [](const Probe &p) { return p.deviceLines != 0; }},
+    {"software interrupt requested, not yet taken",
+     [](const Probe &p) { return p.sisr != 0; }},
+    {"plain cycle", nullptr, 4'321},
+    {"plain cycle, later", nullptr, 27'777},
+};
+
+/** Step the restored copy, then the original, one cycle; the copy's
+ *  SimError as text ("" if none).  Under a guard::Scope a panic is a
+ *  SimError, so a copy that a lost field derails is reported too. */
+std::string
+stepBoth(Experiment &copy, Experiment &orig)
+{
+    try {
+        copy.runChunk(1);
+    } catch (const SimError &e) {
+        return std::string("the copy raised '") + e.what() + "'";
+    }
+    orig.runChunk(1);
+    return "";
+}
+
+/**
+ * Checkpoint orig at every kind of restore point, restore each image
+ * into a fresh Experiment and step both a cycle at a time, comparing
+ * walker digests of every field but the bulk blobs; then run the copy
+ * to the budget and compare its checkpoint (blobs included) and result
+ * with an uninterrupted run's.  A field missing
+ * from a list shows up as a divergence, reported with the cycle, the
+ * micro-PC and the first differing dotted field.
+ */
+void
+lockStep(const WorkloadProfile &prof, const SimConfig &sim,
+         uint64_t budget)
+{
+    constexpr unsigned kWindow = 40;
+    guard::Scope scope(prof.name, sim.seed);
+    auto fresh = [&] {
+        return std::make_unique<Experiment>(prof, budget, sim, poolVms());
+    };
+    auto ref = fresh();
+    ref->runChunk();
+    const std::vector<uint8_t> refImage = machineBytes(*ref);
+    const std::vector<uint8_t> refResult = resultBytes(ref->takeResult());
+
+    auto orig = fresh();
+    orig->runChunk(2'000);
+    std::vector<const PointKind *> pending;
+    for (const PointKind &k : kPointKinds)
+        pending.push_back(&k);
+    while (!pending.empty() && !orig->done()) {
+        // Only plain cycles left: no state to wait for.
+        uint64_t jump = budget;
+        for (const PointKind *k : pending)
+            jump = k->holds ? orig->cycle() : std::min(jump, k->from);
+        if (jump > orig->cycle()) {
+            orig->runChunk(jump - orig->cycle());
+            continue;
+        }
+        Probe p = probe(*orig, false);
+        std::string label;
+        for (auto it = pending.begin(); it != pending.end();) {
+            const PointKind &k = **it;
+            if (k.holds ? !k.holds(p) : orig->cycle() < k.from) {
+                ++it;
+                continue;
+            }
+            label += (label.empty() ? "" : ", ") + std::string(k.what);
+            it = pending.erase(it);
+        }
+        if (label.empty()) {
+            orig->runChunk(1);
+            continue;
+        }
+        label += " at cycle " + std::to_string(orig->cycle());
+        SCOPED_TRACE(label);
+
+        std::vector<uint8_t> ckpt = machineBytes(*orig);
+        auto copy = fresh();
+        snap::Deserializer d(ckpt);
+        copy->restore(d);
+        d.finish();
+        std::string diverged;
+        for (unsigned i = 0; diverged.empty() && i <= kWindow &&
+             !orig->done(); ++i) {
+            Probe a = probe(*orig);
+            if (a.digest != probe(*copy).digest)
+                diverged = "diverged";
+            else if (i < kWindow)
+                diverged = stepBoth(*copy, *orig);
+            if (!diverged.empty())
+                ADD_FAILURE() << diverged << " at cycle " << orig->cycle()
+                              << ", micro-PC " << a.upc << ": "
+                              << firstDifference(*orig, *copy, false);
+        }
+        if (!diverged.empty())
+            continue;
+        try {
+            copy->runChunk();
+        } catch (const SimError &e) {
+            ADD_FAILURE() << "the copy raised '" << e.what()
+                          << "' on its way to the budget";
+            continue;
+        }
+        EXPECT_TRUE(machineBytes(*copy) == refImage)
+            << "at the budget: " << firstDifference(*ref, *copy);
+        EXPECT_TRUE(resultBytes(copy->takeResult()) == refResult);
+    }
+    for (const PointKind *k : pending)
+        ADD_FAILURE() << "no restore point found for: " << k->what;
+}
+
+} // anonymous namespace
+
+TEST(ExperimentSnapshot, LockStepFromEveryKindOfRestorePoint)
+{
+    for (const WorkloadProfile &prof : allProfiles()) {
+        SCOPED_TRACE(prof.name);
+        SimConfig sim;
+        sim.seed = prof.seed;
+        lockStep(prof, sim, 60'000);
+    }
+    // Scheduled parity faults straddle the later restore points.
+    SCOPED_TRACE("scheduled parity faults");
+    WorkloadProfile prof = allProfiles()[0];
+    SimConfig sim;
+    sim.seed = prof.seed;
+    sim.mem.faults.parityCycles = {10'000, 40'000};
+    lockStep(prof, sim, 70'000);
 }
 
 TEST(ExperimentSnapshot, WrongWorkloadRejected)
