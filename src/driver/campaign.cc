@@ -20,12 +20,12 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "support/archive.hh"
 #include "support/interrupt.hh"
 #include "support/iofault.hh"
 #include "support/logging.hh"
 #include "support/parse.hh"
 #include "support/sim_error.hh"
-#include "support/archive.hh"
 #include "support/stats.hh"
 #include "workload/experiments.hh"
 

@@ -6,10 +6,10 @@
 
 #include "cpu/cpu.hh"
 #include "os/vms.hh"
+#include "support/archive.hh"
 #include "support/logging.hh"
 #include "support/random.hh"
 #include "support/sim_error.hh"
-#include "support/archive.hh"
 #include "support/stats.hh"
 #include "workload/codegen.hh"
 

@@ -33,9 +33,9 @@
 
 #include "driver/campaign.hh"
 #include "driver/sim_pool.hh"
+#include "support/archive.hh"
 #include "support/faultinject.hh"
 #include "support/interrupt.hh"
-#include "support/archive.hh"
 #include "tests/campaign_drill.hh"
 #include "tests/field_walk.hh"
 #include "workload/experiments.hh"
