@@ -24,9 +24,9 @@
  * go element by element at the machine's own length; a counter record
  * (support/counters.hh) goes through its fields[] table, a component
  * through its fields(), or a free fields(A &, T &) where the member
- * name is taken.  Every SnapshotError the loader raises names the
- * field, and it checks every length against the machine's before it
- * allocates.
+ * name is taken.  A SnapshotError the loader raises names the field
+ * it was reading (a damaged section header names its section), and it
+ * checks every length against the machine's before it allocates.
  */
 
 #ifndef UPC780_SUPPORT_ARCHIVE_HH
