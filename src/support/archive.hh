@@ -35,7 +35,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
-#include <span>
 #include <string>
 #include <string_view>
 #include <type_traits>
