@@ -1,8 +1,8 @@
 /**
  * @file
  * Shared plumbing for the table benches: run the composite of the five
- * workloads once, analyze, and print measured values beside the
- * paper's published numbers.
+ * workloads once and analyze it.  The tables themselves, paper beside
+ * measured, are rendered by upc/paper.hh.
  *
  * Simulated length per experiment defaults to 2,000,000 cycles
  * (0.4 simulated seconds); override with the UPC780_CYCLES environment
@@ -17,28 +17,37 @@
 #include <memory>
 #include <string>
 
+#include "analysis/ulint.hh"
 #include "driver/sim_pool.hh"
 #include "support/faultinject.hh"
 #include "support/interrupt.hh"
 #include "support/logging.hh"
+#include "support/parse.hh"
 #include "support/stats.hh"
 #include "support/table.hh"
 #include "support/trace.hh"
 #include "ucode/rom.hh"
 #include "upc/analyzer.hh"
+#include "upc/paper.hh"
 #include "upc/selfcheck.hh"
 #include "workload/experiments.hh"
 
 namespace vax::bench
 {
 
-/** The shared bench command-line surface, for --help and bad args. */
+/**
+ * The shared bench command-line surface, for --help and bad args.
+ *
+ * @param cycles_operand The binary takes the cycle budget as its one
+ *                       positional operand instead of UPC780_CYCLES.
+ */
 inline void
-printBenchUsage(const char *prog, std::FILE *out)
+printBenchUsage(const char *prog, std::FILE *out,
+                bool cycles_operand = false)
 {
     std::fprintf(
         out,
-        "usage: %s [options]\n"
+        "usage: %s [options]%s\n"
         "  --jobs N           worker threads, 0 = one per core"
         " (also UPC780_JOBS)\n"
         "  --trace LIST       trace channels, e.g. cache,fault"
@@ -50,16 +59,17 @@ printBenchUsage(const char *prog, std::FILE *out)
         " (also UPC780_FAULTS)\n"
         "  --strict           fail fast on the first job error"
         " (also UPC780_STRICT)\n"
-        "  --selfcheck        verify accounting identities after the"
-        " run\n"
+        "  --selfcheck        verify the accounting identities and"
+        " the\n"
+        "                     control store after the run\n"
         "  --watchdog-cycles N\n"
         "                     forward-progress watchdog window per"
         " job\n"
         "  --job-timeout S    wall-clock budget per job in seconds\n"
         "  --help             this message\n"
-        "Cycles per experiment come from UPC780_CYCLES"
-        " (default 2000000).\n",
-        prog);
+        "Cycles per experiment come from %s (default 2000000).\n",
+        prog, cycles_operand ? " [cycles-per-experiment]" : "",
+        cycles_operand ? "the operand" : "UPC780_CYCLES");
 }
 
 /**
@@ -76,7 +86,7 @@ rejectUnknownArgs(int argc, char **argv, int positional = 0)
         return;
     std::fprintf(stderr, "%s: unrecognized argument '%s'\n\n", argv[0],
                  argv[1 + positional]);
-    printBenchUsage(argv[0], stderr);
+    printBenchUsage(argv[0], stderr, positional > 0);
     std::exit(2);
 }
 
@@ -91,24 +101,23 @@ struct BenchRun
 
 /**
  * Run the composite for a table bench, honoring the shared
- * command-line surface (flags are stripped from argv):
- *
- *   --jobs N            worker threads (also UPC780_JOBS)
- *   --trace LIST        trace channels (also UPC780_TRACE)
- *   --stats-json PATH   write the composite's stats registry as JSON
- *   --faults SPEC       deterministic fault injection (UPC780_FAULTS)
- *   --strict            fail fast on the first job error
- *   --selfcheck         run the accounting self-check after the run
+ * command-line surface printBenchUsage() lists (flags are stripped
+ * from argv).
  *
  * Unrecognized arguments print the usage and exit(2).  A failed
- * --stats-json write or a self-check violation is fatal, so scripted
- * callers see a non-zero exit instead of a silently missing file.
+ * --stats-json write, a self-check violation or a static-verifier
+ * diagnostic is fatal, so scripted callers see a non-zero exit
+ * instead of a silently missing file.
+ *
+ * @param cycles_operand Take the cycle budget from the one positional
+ *                       operand (default 2,000,000), not UPC780_CYCLES.
  */
 inline BenchRun
-runBench(int *argc, char **argv, const char *title)
+runBench(int *argc, char **argv, const std::string &title,
+         bool cycles_operand = false)
 {
     if (parseBoolFlag(argc, argv, "help")) {
-        printBenchUsage(argv[0], stdout);
+        printBenchUsage(argv[0], stdout, cycles_operand);
         std::exit(0);
     }
     trace::parseTraceFlag(argc, argv);
@@ -118,16 +127,25 @@ runBench(int *argc, char **argv, const char *title)
     RunLimits limits = parseLimitsFlags(argc, argv);
     bool strict = parseBoolFlag(argc, argv, "strict");
     bool selfcheck = parseBoolFlag(argc, argv, "selfcheck");
-    rejectUnknownArgs(*argc, argv);
-    uint64_t cycles = benchCycles();
+    rejectUnknownArgs(*argc, argv, cycles_operand ? 1 : 0);
+    uint64_t cycles = cycles_operand ? 2'000'000 : benchCycles();
+    if (cycles_operand && *argc > 1) {
+        std::optional<uint64_t> v = parseCount(argv[1], UINT64_MAX);
+        if (!v || !*v) {
+            std::fprintf(stderr, "%s: bad cycle count '%s'\n\n",
+                         argv[0], argv[1]);
+            printBenchUsage(argv[0], stderr, cycles_operand);
+            std::exit(2);
+        }
+        cycles = *v;
+    }
     interrupt::install();
     SimPool pool(jobs);
     if (strict)
         pool.setStrict(true);
-    std::printf("upc780 bench: %s\n", title);
+    std::printf("upc780 bench: %s\n", title.c_str());
     std::printf("(composite of 5 workloads, %llu cycles each, "
-                "%u worker threads; set UPC780_CYCLES / UPC780_JOBS "
-                "to change)\n\n",
+                "%u worker threads)\n\n",
                 static_cast<unsigned long long>(cycles),
                 pool.workers());
     BenchRun r;
@@ -180,20 +198,33 @@ runBench(int *argc, char **argv, const char *title)
             "composite above is partial", tele.interruptedJobs,
             false));
     }
+    // The static verifier runs over the same control store the
+    // analyzer classifies with; its findings join the self-check and
+    // (when any exist) the stats dump.
+    LintReport lint = lintControlStore(microcodeRom());
     if (selfcheck) {
         std::vector<uint64_t> weights;
         for (const SimJob &j : jobs_list)
             weights.push_back(j.weight);
         SelfCheckReport rep =
             selfCheckComposite(microcodeRom(), r.composite, weights);
-        std::printf("%s\n\n", rep.summary().c_str());
-        if (!rep.ok())
-            fatal("self-check failed (%zu violations)",
-                  rep.violations.size());
+        std::printf("%s\n", rep.summary().c_str());
+        if (lint.clean())
+            std::printf("static verifier: clean (%zu microwords, "
+                        "%zu reachable)\n\n",
+                        lint.words, lint.reachable);
+        else
+            std::printf("static verifier: %zu diagnostic(s)\n%s\n",
+                        lint.diags.size(), lint.text().c_str());
+        if (!rep.ok() || !lint.clean())
+            fatal("self-check failed (%zu violations, %zu static "
+                  "diagnostics)",
+                  rep.violations.size(), lint.diags.size());
     }
     if (!stats_path.empty()) {
         stats::Registry reg;
         registerCompositeStats(reg, r.composite);
+        regLintStats(lint, reg);
         if (!reg.saveJson(stats_path))
             fatal("cannot write stats JSON to '%s'",
                   stats_path.c_str());
@@ -203,12 +234,14 @@ runBench(int *argc, char **argv, const char *title)
     return r;
 }
 
-/** "paper X / measured Y" cell helpers. */
-inline std::string
-pvm(double paper, double measured, int decimals = 2)
+/** A table bench's whole main: run the composite, print its table. */
+inline int
+tableMain(int argc, char **argv, const paper::Table &table)
 {
-    return TextTable::num(paper, decimals) + " / " +
-        TextTable::num(measured, decimals);
+    BenchRun r = runBench(&argc, argv,
+                          std::string(table.where) + " -- " + table.title);
+    std::fputs(table.render(r.an(), r.composite).c_str(), stdout);
+    return 0;
 }
 
 } // namespace vax::bench

@@ -9,75 +9,8 @@
 
 #include "bench/bench_util.hh"
 
-using namespace vax;
-using namespace vax::bench;
-
 int
 main(int argc, char **argv)
 {
-    BenchRun r = runBench(&argc, argv, "Section 4 -- Implementation Events");
-
-    const auto &hw = r.composite.hw;
-    double instr = static_cast<double>(r.an().instructions());
-
-    TextTable t("Implementation events per instruction "
-                "(paper vs measured)");
-    t.addRow({"Event", "Source", "Paper", "Measured"});
-    t.addRow({"IB cache references", "hw counters [2]", "2.2",
-              TextTable::num(hw.ibLongwordFetches / instr, 2)});
-    {
-        double total = 1.0 +
-            (r.an().spec1PerInstr() + r.an().spec26PerInstr()) * 1.68 +
-            r.an().bdispPerInstr();
-        double per_ref = hw.ibLongwordFetches
-            ? total * instr / hw.ibLongwordFetches : 0.0;
-        t.addRow({"Bytes delivered per IB ref", "derived", "1.7",
-                  TextTable::num(per_ref, 2)});
-    }
-    t.addRow({"Cache read misses (total)", "hw counters [2]", "0.28",
-              TextTable::num((hw.cache.readMissesI +
-                              hw.cache.readMissesD) / instr, 3)});
-    t.addRow({"  I-stream misses", "hw counters [2]", "0.18",
-              TextTable::num(hw.cache.readMissesI / instr, 3)});
-    t.addRow({"  D-stream misses", "hw counters [2]", "0.10",
-              TextTable::num(hw.cache.readMissesD / instr, 3)});
-    t.addRow({"TB misses", "UPC histogram", "0.029",
-              TextTable::num(r.an().tbMissPerInstr(), 3)});
-    t.addRow({"  D-stream TB misses", "UPC histogram", "0.020",
-              TextTable::num(r.an().tbMissPerInstrD(), 3)});
-    t.addRow({"  I-stream TB misses", "UPC histogram", "0.009",
-              TextTable::num(r.an().tbMissPerInstrI(), 3)});
-    t.addRow({"TB service cycles per miss", "UPC histogram", "21.6",
-              TextTable::num(r.an().tbServiceCyclesPerMiss(), 1)});
-    t.addRow({"  of which read stalls", "UPC histogram", "3.5",
-              TextTable::num(r.an().tbServiceStallPerMiss(), 1)});
-    t.addRow({"Unaligned D-stream refs", "UPC histogram", "0.016",
-              TextTable::num(r.an().unalignedPerInstr(), 4)});
-    std::printf("%s\n", t.str().c_str());
-
-    // Stall anatomy (§4.3).
-    TextTable s("Stall cycles per instruction (Table 8 columns)");
-    s.addRow({"Stall", "Paper", "Measured"});
-    s.addRow({"Read stall", "0.964",
-              TextTable::num(r.an().colTotal(TimeCol::RStall), 3)});
-    s.addRow({"Write stall", "0.450",
-              TextTable::num(r.an().colTotal(TimeCol::WStall), 3)});
-    s.addRow({"IB stall", "0.720",
-              TextTable::num(r.an().colTotal(TimeCol::IbStall), 3)});
-    std::printf("%s\n", s.str().c_str());
-
-    std::printf("Device traffic over the composite: %llu terminal "
-                "lines in, %llu out, %llu disk transfers.\n\n",
-                (unsigned long long)hw.terminalLinesIn,
-                (unsigned long long)hw.terminalLinesOut,
-                (unsigned long long)hw.diskTransfers);
-
-    // Cache hit rates for context.
-    double reads = hw.cache.readRefsI + hw.cache.readRefsD;
-    double misses = hw.cache.readMissesI + hw.cache.readMissesD;
-    std::printf("Cache read hit rate: %.1f%% over %.0fk read "
-                "references; write references/instr: %.3f.\n",
-                reads > 0 ? 100.0 * (1.0 - misses / reads) : 0.0,
-                reads / 1000.0, hw.cache.writeRefs / instr);
-    return 0;
+    return vax::bench::tableMain(argc, argv, vax::paper::kSection4Render);
 }

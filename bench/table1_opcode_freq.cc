@@ -6,43 +6,8 @@
 
 #include "bench/bench_util.hh"
 
-using namespace vax;
-using namespace vax::bench;
-
 int
 main(int argc, char **argv)
 {
-    BenchRun r = runBench(&argc, argv, "Table 1 -- Opcode Group Frequency");
-
-    struct RowDef
-    {
-        Group group;
-        const char *constituents;
-        double paper;
-    };
-    static const RowDef rows[] = {
-        {Group::Simple,
-         "moves, simple arith, boolean, branches, subroutine", 83.60},
-        {Group::Field, "bit field operations", 6.92},
-        {Group::Float, "floating point, integer mul/div", 3.62},
-        {Group::CallRet, "procedure call/return, push/pop", 3.22},
-        {Group::System, "privileged, ctx switch, services, queues",
-         2.11},
-        {Group::Character, "character string instructions", 0.43},
-        {Group::Decimal, "decimal instructions", 0.03},
-    };
-
-    TextTable t("Opcode group frequency (percent of instructions)");
-    t.addRow({"Group", "Constituents", "Paper", "Measured"});
-    double total = 0.0;
-    for (const auto &row : rows) {
-        double m = 100.0 * r.an().groupFraction(row.group);
-        total += m;
-        t.addRow({groupName(row.group), row.constituents,
-                  TextTable::num(row.paper, 2), TextTable::num(m, 2)});
-    }
-    t.rule();
-    t.addRow({"TOTAL", "", "99.93", TextTable::num(total, 2)});
-    std::printf("%s\n", t.str().c_str());
-    return 0;
+    return vax::bench::tableMain(argc, argv, vax::paper::kTable1Render);
 }

@@ -8,67 +8,8 @@
 
 #include "bench/bench_util.hh"
 
-using namespace vax;
-using namespace vax::bench;
-
 int
 main(int argc, char **argv)
 {
-    BenchRun r = runBench(&argc, argv, "Table 2 -- PC-Changing Instructions");
-
-    struct RowDef
-    {
-        PcChangeKind kind;
-        double paper_freq;   ///< percent of all instructions
-        double paper_taken;  ///< percent that branch
-    };
-    static const RowDef rows[] = {
-        {PcChangeKind::SimpleCond, 19.3, 56.0},
-        {PcChangeKind::LoopBranch, 4.1, 91.0},
-        {PcChangeKind::LowBitTest, 2.0, 41.0},
-        {PcChangeKind::SubrCallRet, 4.5, 100.0},
-        {PcChangeKind::Uncond, 0.3, 100.0},
-        {PcChangeKind::CaseBranch, 0.9, 100.0},
-        {PcChangeKind::BitBranch, 4.3, 44.0},
-        {PcChangeKind::ProcCallRet, 2.4, 100.0},
-        {PcChangeKind::SystemBr, 0.4, 100.0},
-    };
-
-    TextTable t("PC-changing instructions "
-                "(columns: paper / measured)");
-    t.addRow({"Branch type", "Freq % of all", "% that branch",
-              "Actual branch % of all"});
-    double tot_freq_p = 0, tot_freq_m = 0;
-    double tot_act_p = 0, tot_act_m = 0;
-    for (const auto &row : rows) {
-        double freq = 100.0 * r.an().pcChangeFraction(row.kind);
-        double taken = 100.0 * r.an().takenFraction(row.kind);
-        double act = freq * taken / 100.0;
-        double act_p = row.paper_freq * row.paper_taken / 100.0;
-        tot_freq_p += row.paper_freq;
-        tot_freq_m += freq;
-        tot_act_p += act_p;
-        tot_act_m += act;
-        t.addRow({pcChangeKindName(row.kind),
-                  pvm(row.paper_freq, freq, 1),
-                  pvm(row.paper_taken, taken, 0),
-                  pvm(act_p, act, 1)});
-    }
-    t.rule();
-    double taken_tot_p = 100.0 * tot_act_p / tot_freq_p;
-    double taken_tot_m =
-        tot_freq_m > 0 ? 100.0 * tot_act_m / tot_freq_m : 0.0;
-    t.addRow({"TOTAL", pvm(38.5, tot_freq_m, 1),
-              pvm(taken_tot_p, taken_tot_m, 0),
-              pvm(25.7, tot_act_m, 1)});
-    std::printf("%s\n", t.str().c_str());
-    std::printf("Paper: \"about 9 out of 10 loop branches actually "
-                "branched\" -> mean loop iterations ~10.\n");
-    double lt = r.an().takenFraction(PcChangeKind::LoopBranch);
-    if (lt < 1.0 && lt > 0.0) {
-        std::printf("Measured: loop branches taken %.0f%% -> mean "
-                    "iterations ~%.1f.\n",
-                    100.0 * lt, 1.0 / (1.0 - lt));
-    }
-    return 0;
+    return vax::bench::tableMain(argc, argv, vax::paper::kTable2Render);
 }

@@ -6,35 +6,8 @@
 
 #include "bench/bench_util.hh"
 
-using namespace vax;
-using namespace vax::bench;
-
 int
 main(int argc, char **argv)
 {
-    BenchRun r = runBench(&argc, argv, 
-        "Table 3 -- Specifiers and Branch Displacements per Instr");
-
-    TextTable t("Per average instruction");
-    t.addRow({"Object", "Paper", "Measured"});
-    t.addRow({"First specifiers", "0.726",
-              TextTable::num(r.an().spec1PerInstr(), 3)});
-    t.addRow({"Other specifiers", "0.758",
-              TextTable::num(r.an().spec26PerInstr(), 3)});
-    t.addRow({"Branch displacements", "0.312",
-              TextTable::num(r.an().bdispPerInstr(), 3)});
-    t.rule();
-    t.addRow({"All specifiers", "1.484",
-              TextTable::num(r.an().spec1PerInstr() +
-                             r.an().spec26PerInstr(), 3)});
-    std::printf("%s\n", t.str().c_str());
-
-    // Cross-check against the hardware decode counters.
-    const auto &hw = r.composite.hw.counters;
-    std::printf("hardware cross-check: %.3f specifiers/instr "
-                "(%.3f first), %.3f bdisp fields/instr\n",
-                double(hw.specifiers) / hw.instructions,
-                double(hw.firstSpecifiers) / hw.instructions,
-                double(hw.bdispCount) / hw.instructions);
-    return 0;
+    return vax::bench::tableMain(argc, argv, vax::paper::kTable3Render);
 }

@@ -7,62 +7,8 @@
 
 #include "bench/bench_util.hh"
 
-using namespace vax;
-using namespace vax::bench;
-
 int
 main(int argc, char **argv)
 {
-    BenchRun r = runBench(&argc, argv, "Table 4 -- Operand Specifier Distribution");
-
-    struct RowDef
-    {
-        SpecCategory cat;
-        const char *p1;  ///< paper SPEC1 (or "-")
-        const char *p26;
-        const char *pt;
-    };
-    static const RowDef rows[] = {
-        {SpecCategory::Register, "28.7", "52.6", "41.0"},
-        {SpecCategory::ShortLiteral, "21.1", "10.8", "15.8"},
-        {SpecCategory::Immediate, "3.2", "1.7", "2.4"},
-        {SpecCategory::Displacement, "25.0", "-", "-"},
-        {SpecCategory::RegDeferred, "-", "-", "-"},
-        {SpecCategory::AutoIncDec, "-", "-", "-"},
-        {SpecCategory::DispDeferred, "-", "-", "-"},
-        {SpecCategory::Absolute, "-", "-", "-"},
-        {SpecCategory::AutoIncDef, "-", "-", "-"},
-    };
-
-    TextTable t("Specifier distribution, percent "
-                "(paper | measured per position class)");
-    t.addRow({"Mode", "P SPEC1", "M SPEC1", "P SPEC2-6", "M SPEC2-6",
-              "P Total", "M Total"});
-    for (const auto &row : rows) {
-        t.addRow({specCategoryName(row.cat), row.p1,
-                  TextTable::num(
-                      100.0 * r.an().specCategoryFraction(row.cat, 0),
-                      1),
-                  row.p26,
-                  TextTable::num(
-                      100.0 * r.an().specCategoryFraction(row.cat, 1),
-                      1),
-                  row.pt,
-                  TextTable::num(
-                      100.0 * r.an().specCategoryFraction(row.cat, 2),
-                      1)});
-    }
-    t.rule();
-    t.addRow({"Percent indexed", "8.5",
-              TextTable::num(100.0 * r.an().indexedFraction(0), 1),
-              "4.2",
-              TextTable::num(100.0 * r.an().indexedFraction(1), 1),
-              "6.3",
-              TextTable::num(100.0 * r.an().indexedFraction(2), 1)});
-    std::printf("%s\n", t.str().c_str());
-    std::printf("Paper: register mode dominates after the first "
-                "specifier (results stored in registers); short\n"
-                "literals supply most I-stream constants; "
-                "displacement is the most common memory mode.\n");
-    return 0;
+    return vax::bench::tableMain(argc, argv, vax::paper::kTable4Render);
 }

@@ -7,58 +7,8 @@
 
 #include "bench/bench_util.hh"
 
-using namespace vax;
-using namespace vax::bench;
-
 int
 main(int argc, char **argv)
 {
-    BenchRun r = runBench(&argc, argv, "Table 5 -- D-stream Reads and Writes");
-
-    struct RowDef
-    {
-        Row row;
-        const char *pr; ///< paper reads (or "-" where the text is
-                        ///< illegible)
-        const char *pw;
-    };
-    static const RowDef rows[] = {
-        {Row::Spec1, "0.306", "-"},
-        {Row::Spec26, "0.148", "-"},
-        {Row::ExecSimple, "-", "-"},
-        {Row::ExecField, "-", "0.007"},
-        {Row::ExecFloat, "-", "-"},
-        {Row::ExecCallRet, "0.133", "0.130"},
-        {Row::ExecSystem, "-", "-"},
-        {Row::ExecCharacter, "0.039", "0.046"},
-        {Row::ExecDecimal, "0.002", "0.001"},
-        {Row::Bdisp, "0.000", "0.000"},
-        {Row::IntExcept, "-", "-"},
-        {Row::MemMgmt, "-", "-"},
-    };
-
-    TextTable t("Reads/writes per average instruction "
-                "(paper | measured)");
-    t.addRow({"Source", "P reads", "M reads", "P writes", "M writes"});
-    for (const auto &row : rows) {
-        t.addRow({rowName(row.row), row.pr,
-                  TextTable::num(r.an().readsPerInstr(row.row), 3),
-                  row.pw,
-                  TextTable::num(r.an().writesPerInstr(row.row), 3)});
-    }
-    t.rule();
-    t.addRow({"TOTAL", "0.783",
-              TextTable::num(r.an().totalReadsPerInstr(), 3), "0.409",
-              TextTable::num(r.an().totalWritesPerInstr(), 3)});
-    std::printf("%s\n", t.str().c_str());
-
-    double ratio = r.an().totalWritesPerInstr() > 0
-        ? r.an().totalReadsPerInstr() / r.an().totalWritesPerInstr()
-        : 0.0;
-    std::printf("Read:write ratio -- paper ~2:1, measured %.2f:1.\n",
-                ratio);
-    std::printf("Unaligned D-stream references/instr -- paper 0.016, "
-                "measured %.4f.\n",
-                r.an().unalignedPerInstr());
-    return 0;
+    return vax::bench::tableMain(argc, argv, vax::paper::kTable5Render);
 }

@@ -8,46 +8,8 @@
 
 #include "bench/bench_util.hh"
 
-using namespace vax;
-using namespace vax::bench;
-
 int
 main(int argc, char **argv)
 {
-    BenchRun r = runBench(&argc, argv, "Table 6 -- Estimated Size of Average Instr");
-
-    const auto &hw = r.composite.hw.counters;
-    double instr = static_cast<double>(hw.instructions);
-
-    double specs = r.an().spec1PerInstr() + r.an().spec26PerInstr();
-    double bdisps = r.an().bdispPerInstr();
-    // Specifier size: one mode byte plus displacement/immediate
-    // extension bytes (hardware counters).
-    double ext_bytes = (hw.dispBytes + hw.immediateBytes) / instr;
-    double spec_size = specs > 0 ? 1.0 + ext_bytes / specs : 0.0;
-    double bdisp_size = bdisps > 0 ? (hw.bdispBytes / instr) / bdisps
-                                   : 0.0;
-
-    TextTable t("Size of the average instruction "
-                "(paper | measured)");
-    t.addRow({"Object", "Number/inst", "Est. size", "Bytes/inst"});
-    t.addRow({"Opcode", pvm(1.00, 1.00), pvm(1.00, 1.00),
-              pvm(1.00, 1.00)});
-    t.addRow({"Specifiers", pvm(1.48, specs), pvm(1.68, spec_size),
-              pvm(2.49, specs * spec_size)});
-    t.addRow({"Branch disp.", pvm(0.31, bdisps),
-              pvm(1.00, bdisp_size), pvm(0.31, bdisps * bdisp_size)});
-    t.rule();
-    double total = 1.0 + specs * spec_size + bdisps * bdisp_size;
-    t.addRow({"TOTAL", "", "", pvm(3.8, total, 1)});
-    std::printf("%s\n", t.str().c_str());
-
-    // Section 4.1 tie-in: IB delivery efficiency.
-    double ib_refs = r.composite.hw.ibLongwordFetches / instr;
-    std::printf("Section 4.1: IB cache references/instr -- paper "
-                "~2.2, measured %.2f;\n"
-                "bytes delivered per reference -- paper ~1.7, "
-                "measured %.2f.\n",
-                ib_refs, ib_refs > 0 ? total / ib_refs : 0.0);
-    return 0;
+    return vax::bench::tableMain(argc, argv, vax::paper::kTable6Render);
 }

@@ -7,72 +7,8 @@
 
 #include "bench/bench_util.hh"
 
-using namespace vax;
-using namespace vax::bench;
-
 int
 main(int argc, char **argv)
 {
-    BenchRun r = runBench(&argc, argv, "Table 9 -- Cycles per Instruction Within "
-                          "Each Group");
-
-    struct RowDef
-    {
-        Group group;
-        Row row;
-        const char *paper_total; ///< "-" where the text is illegible
-    };
-    static const RowDef rows[] = {
-        {Group::Simple, Row::ExecSimple, "1.17 (compute)"},
-        {Group::Field, Row::ExecField, "8.67"},
-        {Group::Float, Row::ExecFloat, "8.33"},
-        {Group::CallRet, Row::ExecCallRet, "45.25"},
-        {Group::System, Row::ExecSystem, "24.74"},
-        {Group::Character, Row::ExecCharacter, "117.04"},
-        {Group::Decimal, Row::ExecDecimal, "100.77"},
-    };
-
-    TextTable t("Execute-phase cycles per group member "
-                "(exclusive of specifier processing)");
-    t.addRow({"Group", "M Compute", "M Read", "M R-Stall", "M Write",
-              "M W-Stall", "M Total", "Paper total"});
-    for (const auto &row : rows) {
-        double f = r.an().groupFraction(row.group);
-        if (f <= 0.0) {
-            t.addRow({groupName(row.group), "-", "-", "-", "-", "-",
-                      "-", row.paper_total});
-            continue;
-        }
-        auto per = [&](TimeCol c) {
-            return TextTable::num(r.an().cell(row.row, c) / f, 2);
-        };
-        double total = r.an().rowTotal(row.row) / f;
-        t.addRow({groupName(row.group), per(TimeCol::Compute),
-                  per(TimeCol::Read), per(TimeCol::RStall),
-                  per(TimeCol::Write), per(TimeCol::WStall),
-                  TextTable::num(total, 2), row.paper_total});
-    }
-    std::printf("%s\n", t.str().c_str());
-
-    std::printf(
-        "Paper properties to check:\n"
-        "  - the average SIMPLE instruction needs little more than "
-        "one compute cycle;\n"
-        "  - the range across groups covers two orders of "
-        "magnitude;\n"
-        "  - CALL/RET+PUSHR/POPR move ~4 reads and ~4 writes each "
-        "(~8 registers per push/pop pair);\n"
-        "  - CHARACTER reads/writes ~9-11 longwords -> strings of "
-        "36-44 bytes.\n\n");
-    double fc = r.an().groupFraction(Group::CallRet);
-    double fch = r.an().groupFraction(Group::Character);
-    if (fc > 0 && fch > 0) {
-        std::printf("Measured: CALL/RET reads %.1f writes %.1f per "
-                    "member; CHARACTER reads %.1f writes %.1f.\n",
-                    r.an().readsPerInstr(Row::ExecCallRet) / fc,
-                    r.an().writesPerInstr(Row::ExecCallRet) / fc,
-                    r.an().readsPerInstr(Row::ExecCharacter) / fch,
-                    r.an().writesPerInstr(Row::ExecCharacter) / fch);
-    }
-    return 0;
+    return vax::bench::tableMain(argc, argv, vax::paper::kTable9Render);
 }
