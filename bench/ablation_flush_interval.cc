@@ -23,7 +23,14 @@ using namespace vax;
 int
 main(int argc, char **argv)
 {
-    unsigned jobs = parseJobsFlag(&argc, argv, envJobs());
+    std::optional<unsigned> jobs;
+    cli::CommandLine("TB flush-interval ablation: the scheduling quantum "
+                     "swept under\n'educational'.",
+                     {jobsFlag(&jobs)},
+                     "Cycles per experiment come from UPC780_CYCLES "
+                     "(default 1000000).")
+        .parse(&argc, argv);
+    SimPool pool(jobs.value_or(envJobs()));
     uint64_t cycles = benchCycles(1'000'000);
     WorkloadProfile prof = educationalProfile();
     std::printf("TB flush-interval ablation under '%s' "
@@ -37,7 +44,7 @@ main(int argc, char **argv)
         job.vms.quantumTicks = q;
         sweep.push_back(job);
     }
-    std::vector<ExperimentResult> results = SimPool(jobs).run(sweep);
+    std::vector<ExperimentResult> results = pool.run(sweep);
 
     TextTable t("Effect of the scheduling quantum (flush interval)");
     t.addRow({"Quantum ticks", "CtxSw headway", "TB miss/instr",

@@ -23,7 +23,14 @@ using namespace vax;
 int
 main(int argc, char **argv)
 {
-    unsigned jobs = parseJobsFlag(&argc, argv, envJobs());
+    std::optional<unsigned> jobs;
+    cli::CommandLine("Instruction-buffer size ablation: the IB swept from "
+                     "4 to 16\nbytes under 'timesharing-heavy'.",
+                     {jobsFlag(&jobs)},
+                     "Cycles per experiment come from UPC780_CYCLES "
+                     "(default 1000000).")
+        .parse(&argc, argv);
+    SimPool pool(jobs.value_or(envJobs()));
     uint64_t cycles = benchCycles(1'000'000);
     WorkloadProfile prof = timesharingHeavyProfile();
     std::printf("instruction-buffer size ablation under '%s' "
@@ -38,7 +45,7 @@ main(int argc, char **argv)
         sim.seed = prof.seed;
         sweep.push_back(SimJob::forProfile(prof, cycles, sim));
     }
-    std::vector<ExperimentResult> results = SimPool(jobs).run(sweep);
+    std::vector<ExperimentResult> results = pool.run(sweep);
 
     TextTable t("Effect of the IB size");
     t.addRow({"IB bytes", "CPI", "IB-Stall/instr", "Decode IB-Stall",

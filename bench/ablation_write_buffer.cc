@@ -24,7 +24,14 @@ using namespace vax;
 int
 main(int argc, char **argv)
 {
-    unsigned jobs = parseJobsFlag(&argc, argv, envJobs());
+    std::optional<unsigned> jobs;
+    cli::CommandLine("Write-buffer drain ablation: the drain time swept "
+                     "from 2 to 12\ncycles under 'educational'.",
+                     {jobsFlag(&jobs)},
+                     "Cycles per experiment come from UPC780_CYCLES "
+                     "(default 1000000).")
+        .parse(&argc, argv);
+    SimPool pool(jobs.value_or(envJobs()));
     uint64_t cycles = benchCycles(1'000'000);
     WorkloadProfile prof = educationalProfile();
     std::printf("write-buffer drain ablation under '%s' "
@@ -39,7 +46,7 @@ main(int argc, char **argv)
         sim.seed = prof.seed;
         sweep.push_back(SimJob::forProfile(prof, cycles, sim));
     }
-    std::vector<ExperimentResult> results = SimPool(jobs).run(sweep);
+    std::vector<ExperimentResult> results = pool.run(sweep);
 
     TextTable t("Effect of the write-buffer drain time");
     t.addRow({"Drain", "CPI", "W-Stall/instr", "CallRet W-Stall",

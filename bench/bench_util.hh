@@ -15,7 +15,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "analysis/ulint.hh"
 #include "driver/sim_pool.hh"
@@ -36,59 +38,48 @@ namespace vax::bench
 {
 
 /**
- * The shared bench command-line surface, for --help and bad args.
- *
- * @param cycles_operand The binary takes the cycle budget as its one
- *                       positional operand instead of UPC780_CYCLES.
+ * The shared command line of every runBench binary: the eight flags,
+ * named once, and where each value goes.
  */
-inline void
-printBenchUsage(const char *prog, std::FILE *out,
-                bool cycles_operand = false)
+struct Options
 {
-    std::fprintf(
-        out,
-        "usage: %s [options]%s\n"
-        "  --jobs N           worker threads, 0 = one per core"
-        " (also UPC780_JOBS)\n"
-        "  --trace LIST       trace channels, e.g. cache,fault"
-        " (also UPC780_TRACE)\n"
-        "  --stats-json PATH  write the composite stats registry as"
-        " JSON\n"
-        "  --faults SPEC      deterministic fault injection, e.g.\n"
-        "                     parity=1e-4,tb=5e-5,seed=7"
-        " (also UPC780_FAULTS)\n"
-        "  --strict           fail fast on the first job error"
-        " (also UPC780_STRICT)\n"
-        "  --selfcheck        verify the accounting identities and"
-        " the\n"
-        "                     control store after the run\n"
-        "  --watchdog-cycles N\n"
-        "                     forward-progress watchdog window per"
-        " job\n"
-        "  --job-timeout S    wall-clock budget per job in seconds\n"
-        "  --help             this message\n"
-        "Cycles per experiment come from %s (default 2000000).\n",
-        prog, cycles_operand ? " [cycles-per-experiment]" : "",
-        cycles_operand ? "the operand" : "UPC780_CYCLES");
-}
+    std::optional<unsigned> jobs;      ///< absent: UPC780_JOBS
+    std::string statsPath;
+    std::optional<std::string> faults; ///< absent: UPC780_FAULTS
+    RunLimits limits;                  ///< zero fields: flag absent
+    bool strict = false;
+    bool selfcheck = false;
 
-/**
- * After every known flag has been stripped from argv, anything left
- * is a typo; print usage and exit non-zero rather than silently
- * running a different experiment than the user asked for.
- *
- * @param positional How many positional operands are legitimate.
- */
-inline void
-rejectUnknownArgs(int argc, char **argv, int positional = 0)
-{
-    if (argc <= 1 + positional)
-        return;
-    std::fprintf(stderr, "%s: unrecognized argument '%s'\n\n", argv[0],
-                 argv[1 + positional]);
-    printBenchUsage(argv[0], stderr, positional > 0);
-    std::exit(2);
-}
+    std::vector<cli::Entry>
+    flags()
+    {
+        return {
+            jobsFlag(&jobs),
+            trace::flag(),
+            cli::text("--stats-json", "PATH",
+                      "write the composite stats registry as JSON",
+                      &statsPath),
+            cli::text("--faults", "SPEC",
+                      "deterministic fault injection, e.g.\n"
+                      "parity=1e-4,tb=5e-5,seed=7 (also UPC780_FAULTS)",
+                      &faults),
+            cli::flag("--strict",
+                      "fail fast on the first job error (also "
+                      "UPC780_STRICT)",
+                      &strict),
+            cli::flag("--selfcheck",
+                      "verify the accounting identities and the\n"
+                      "control store after the run",
+                      &selfcheck),
+            cli::count("--watchdog-cycles", "N",
+                       "forward-progress watchdog window per job",
+                       &limits.watchdogCycles, 1, UINT64_MAX),
+            cli::seconds("--job-timeout", "S",
+                         "wall-clock budget per job in seconds",
+                         &limits.timeoutSeconds),
+        };
+    }
+};
 
 /** Everything a table bench needs. */
 struct BenchRun
@@ -100,11 +91,10 @@ struct BenchRun
 };
 
 /**
- * Run the composite for a table bench, honoring the shared
- * command-line surface printBenchUsage() lists (flags are stripped
- * from argv).
+ * Run the composite for a table bench, honoring the shared command
+ * line (Options; the flags are stripped from argv).
  *
- * Unrecognized arguments print the usage and exit(2).  A failed
+ * A bad command line prints the usage and exits 2.  A failed
  * --stats-json write, a self-check violation or a static-verifier
  * diagnostic is fatal, so scripted callers see a non-zero exit
  * instead of a silently missing file.
@@ -116,32 +106,27 @@ inline BenchRun
 runBench(int *argc, char **argv, const std::string &title,
          bool cycles_operand = false)
 {
-    if (parseBoolFlag(argc, argv, "help")) {
-        printBenchUsage(argv[0], stdout, cycles_operand);
-        std::exit(0);
-    }
-    trace::parseTraceFlag(argc, argv);
-    unsigned jobs = parseJobsFlag(argc, argv, envJobs());
-    std::string stats_path = stats::parseStatsJsonFlag(argc, argv);
-    FaultConfig faults = FaultConfig::parseFlag(argc, argv);
-    RunLimits limits = parseLimitsFlags(argc, argv);
-    bool strict = parseBoolFlag(argc, argv, "strict");
-    bool selfcheck = parseBoolFlag(argc, argv, "selfcheck");
-    rejectUnknownArgs(*argc, argv, cycles_operand ? 1 : 0);
-    uint64_t cycles = cycles_operand ? 2'000'000 : benchCycles();
-    if (cycles_operand && *argc > 1) {
-        std::optional<uint64_t> v = parseCount(argv[1], UINT64_MAX);
-        if (!v || !*v) {
-            std::fprintf(stderr, "%s: bad cycle count '%s'\n\n",
-                         argv[0], argv[1]);
-            printBenchUsage(argv[0], stderr, cycles_operand);
-            std::exit(2);
-        }
-        cycles = *v;
-    }
+    Options o;
+    uint64_t cycles = 2'000'000;
+    std::vector<cli::Entry> table = o.flags();
+    if (cycles_operand)
+        table.push_back(cli::count("cycles", "",
+                                   "machine cycles per experiment "
+                                   "(default 2000000)",
+                                   &cycles, 1, UINT64_MAX));
+    cli::CommandLine(title, std::move(table),
+                     cycles_operand
+                         ? ""
+                         : "Cycles per experiment come from "
+                           "UPC780_CYCLES (default 2000000).")
+        .parse(argc, argv);
+    if (!cycles_operand)
+        cycles = benchCycles();
+    FaultConfig faults = o.faults ? FaultConfig::parse(*o.faults)
+                                  : FaultConfig::fromEnv();
     interrupt::install();
-    SimPool pool(jobs);
-    if (strict)
+    SimPool pool(o.jobs.value_or(envJobs()));
+    if (o.strict)
         pool.setStrict(true);
     std::printf("upc780 bench: %s\n", title.c_str());
     std::printf("(composite of 5 workloads, %llu cycles each, "
@@ -153,10 +138,10 @@ runBench(int *argc, char **argv, const std::string &title,
     for (SimJob &j : jobs_list) {
         if (faults.enabled())
             j.sim.mem.faults = faults;
-        if (limits.watchdogCycles)
-            j.limits.watchdogCycles = limits.watchdogCycles;
-        if (limits.timeoutSeconds > 0.0)
-            j.limits.timeoutSeconds = limits.timeoutSeconds;
+        if (o.limits.watchdogCycles)
+            j.limits.watchdogCycles = o.limits.watchdogCycles;
+        if (o.limits.timeoutSeconds > 0.0)
+            j.limits.timeoutSeconds = o.limits.timeoutSeconds;
     }
     r.composite = pool.runComposite(jobs_list);
     r.analyzer = std::make_unique<HistogramAnalyzer>(
@@ -202,7 +187,7 @@ runBench(int *argc, char **argv, const std::string &title,
     // analyzer classifies with; its findings join the self-check and
     // (when any exist) the stats dump.
     LintReport lint = lintControlStore(microcodeRom());
-    if (selfcheck) {
+    if (o.selfcheck) {
         std::vector<uint64_t> weights;
         for (const SimJob &j : jobs_list)
             weights.push_back(j.weight);
@@ -221,15 +206,15 @@ runBench(int *argc, char **argv, const std::string &title,
                   "diagnostics)",
                   rep.violations.size(), lint.diags.size());
     }
-    if (!stats_path.empty()) {
+    if (!o.statsPath.empty()) {
         stats::Registry reg;
         registerCompositeStats(reg, r.composite);
         regLintStats(lint, reg);
-        if (!reg.saveJson(stats_path))
+        if (!reg.saveJson(o.statsPath))
             fatal("cannot write stats JSON to '%s'",
-                  stats_path.c_str());
+                  o.statsPath.c_str());
         std::printf("stats: wrote %zu stats to %s\n\n", reg.size(),
-                    stats_path.c_str());
+                    o.statsPath.c_str());
     }
     return r;
 }

@@ -8,12 +8,17 @@
 #include <cstdio>
 
 #include "cpu/cpu.hh"
+#include "support/parse.hh"
 
 using namespace vax;
 
 int
-main()
+main(int argc, char **argv)
 {
+    cli::CommandLine("Print the VAX-11/780 block diagram from the "
+                     "simulator's components\nand their configuration.",
+                     {})
+        .parse(&argc, argv);
     Cpu780 cpu;
     const MemConfig &m = cpu.mem().config();
 

@@ -5,13 +5,19 @@
  * re-running the workload.
  *
  * Usage: histogram_database [cycles] [csv-path]
- *   With an existing CSV produced earlier, analyses it instead of
- *   running a new measurement.  An existing file that does not load
- *   is an error (exit 1), and is left as it was.
+ *   Named as csv-path, an existing CSV produced earlier is analysed
+ *   instead of running a new measurement.  An existing file that does
+ *   not load is an error (exit 1), and is left as it was; a file that
+ *   loads is never rewritten.
  */
 
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
+#include <optional>
+#include <string>
+
+#include <unistd.h>
 
 #include "support/parse.hh"
 #include "ucode/rom.hh"
@@ -21,45 +27,37 @@
 
 using namespace vax;
 
-namespace
-{
-
-int
-usageError(const char *prog, const char *what, const char *arg)
-{
-    std::fprintf(stderr, "%s: %s '%s'\n\nusage: %s [cycles] [csv-path]\n",
-                 prog, what, arg, prog);
-    return 2;
-}
-
-} // anonymous namespace
-
 int
 main(int argc, char **argv)
 {
-    if (argc > 3)
-        return usageError(argv[0], "unrecognized argument", argv[3]);
     uint64_t cycles = 1'000'000;
-    if (argc > 1) {
-        std::optional<uint64_t> v = parseCount(argv[1], UINT64_MAX);
-        if (!v || !*v)
-            return usageError(argv[0], "bad cycle count", argv[1]);
-        cycles = *v;
-    }
-    const char *path = argc > 2 ? argv[2] : "upc780_histogram.csv";
+    std::optional<std::string> named;
+    cli::CommandLine(
+        "Measure 'commercial' once, save the raw histogram as CSV, and "
+        "answer\nthree questions from the counts alone.",
+        {cli::count("cycles", "", "cycles to measure (default 1000000)",
+                    &cycles, 1, UINT64_MAX),
+         cli::text("csv-path", "",
+                   "histogram CSV to write (default\n"
+                   "upc780_histogram.csv); a named one that exists "
+                   "is\nanalysed instead, and one that does not load "
+                   "is an\nerror (exit 1) and is left as it was",
+                   &named)})
+        .parse(&argc, argv);
+    const std::string path = named.value_or("upc780_histogram.csv");
 
     Histogram hist;
 
-    if (argc > 2 && std::filesystem::exists(path)) {
+    if (named && std::filesystem::exists(path)) {
         // The file was named to be read: one that does not load is
         // reported, never replaced by a fresh measurement.
         if (!loadHistogramCsv(path, &hist) || !hist.cycles()) {
             std::fprintf(stderr, "%s: '%s' holds no histogram; left as "
-                         "it is\n", argv[0], path);
+                         "it is\n", argv[0], path.c_str());
             return 1;
         }
         std::printf("loaded existing histogram '%s' (%llu cycles)\n",
-                    path, (unsigned long long)hist.cycles());
+                    path.c_str(), (unsigned long long)hist.cycles());
     } else {
         std::printf("measuring 'commercial' for %llu cycles...\n",
                     (unsigned long long)cycles);
@@ -67,7 +65,7 @@ main(int argc, char **argv)
                                            cycles);
         hist = r.hist;
         if (saveHistogramCsv(path, hist, microcodeRom()))
-            std::printf("saved raw histogram to '%s'\n", path);
+            std::printf("saved raw histogram to '%s'\n", path.c_str());
     }
 
     // "Additional interpretation of the raw histogram data": three
@@ -98,15 +96,22 @@ main(int argc, char **argv)
                 mm, an.cyclesPerInstruction() - mm,
                 100.0 * mm / (an.cyclesPerInstruction() - mm));
 
-    // Round-trip integrity check.
-    Histogram reloaded;
-    if (saveHistogramCsv(path, hist, microcodeRom()) &&
-        loadHistogramCsv(path, &reloaded)) {
-        HistogramAnalyzer an2(microcodeRom(), reloaded);
-        std::printf("\nCSV round trip: %llu cycles preserved (%s)\n",
-                    (unsigned long long)reloaded.cycles(),
-                    reloaded.cycles() == hist.cycles() ? "ok"
-                                                       : "MISMATCH");
+    // Round-trip integrity check, through a scratch file: the CSV the
+    // run was asked to analyse is never rewritten.
+    std::string scratch =
+        (std::filesystem::temp_directory_path() / "upc780_hist_XXXXXX")
+            .string();
+    int fd = ::mkstemp(scratch.data());
+    if (fd >= 0) {
+        ::close(fd);
+        Histogram reloaded;
+        if (saveHistogramCsv(scratch, hist, microcodeRom()) &&
+            loadHistogramCsv(scratch, &reloaded))
+            std::printf("\nCSV round trip: %llu cycles preserved (%s)\n",
+                        (unsigned long long)reloaded.cycles(),
+                        reloaded.cycles() == hist.cycles() ? "ok"
+                                                           : "MISMATCH");
+        std::remove(scratch.c_str());
     }
     return 0;
 }

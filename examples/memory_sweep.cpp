@@ -33,29 +33,20 @@ struct Variant
     uint32_t tbEntries; ///< per half
 };
 
-int
-usageError(const char *prog, const char *what, const char *arg)
-{
-    std::fprintf(stderr, "%s: %s '%s'\n\nusage: %s [--jobs N] [cycles]\n",
-                 prog, what, arg, prog);
-    return 2;
-}
-
 } // anonymous namespace
 
 int
 main(int argc, char **argv)
 {
-    unsigned jobs = parseJobsFlag(&argc, argv, envJobs());
-    if (argc > 2)
-        return usageError(argv[0], "unrecognized argument", argv[2]);
+    std::optional<unsigned> jobs;
     uint64_t cycles = 1'000'000;
-    if (argc == 2) {
-        std::optional<uint64_t> v = parseCount(argv[1], UINT64_MAX);
-        if (!v || !*v)
-            return usageError(argv[0], "bad cycle count", argv[1]);
-        cycles = *v;
-    }
+    cli::CommandLine("Re-run 'timesharing-heavy' under five cache and TB "
+                     "geometries,\none pooled job each.",
+                     {jobsFlag(&jobs),
+                      cli::count("cycles", "",
+                                 "cycles per geometry (default 1000000)",
+                                 &cycles, 1, UINT64_MAX)})
+        .parse(&argc, argv);
     static const Variant variants[] = {
         {"2 KB cache / 32-entry TB", 2 << 10, 32},
         {"4 KB cache / 64-entry TB", 4 << 10, 64},
@@ -65,7 +56,7 @@ main(int argc, char **argv)
     };
 
     WorkloadProfile prof = timesharingHeavyProfile();
-    SimPool pool(jobs);
+    SimPool pool(jobs.value_or(envJobs()));
     std::printf("sweeping memory geometry under '%s' "
                 "(%llu cycles each, %u worker threads)\n\n",
                 prof.name.c_str(), (unsigned long long)cycles,

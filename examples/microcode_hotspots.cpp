@@ -10,7 +10,7 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
+#include <string>
 
 #include "support/parse.hh"
 #include "ucode/rom.hh"
@@ -19,78 +19,26 @@
 
 using namespace vax;
 
-namespace
-{
-
-void
-printUsage(const char *prog, std::FILE *out, size_t nprofiles)
-{
-    std::fprintf(out,
-                 "usage: %s [cycles] [profile 0-%zu] [topN]\n"
-                 "  cycles   simulated cycles to profile (default "
-                 "1000000)\n"
-                 "  profile  workload profile index (default 2)\n"
-                 "  topN     hottest locations to print (default "
-                 "24)\n",
-                 prog, nprofiles - 1);
-}
-
-/** Strict non-negative integer (parseCount); usage + exit(2) on
- *  garbage. */
-uint64_t
-countArg(const char *prog, const char *what, const char *s,
-         size_t nprofiles)
-{
-    std::optional<uint64_t> v = parseCount(s, UINT64_MAX);
-    if (!v) {
-        std::fprintf(stderr, "%s: bad %s '%s' (non-negative "
-                             "integer expected)\n\n",
-                     prog, what, s);
-        printUsage(prog, stderr, nprofiles);
-        std::exit(2);
-    }
-    return *v;
-}
-
-} // anonymous namespace
-
 int
 main(int argc, char **argv)
 {
     auto profiles = allProfiles();
-
-    if (argc > 4) {
-        std::fprintf(stderr, "%s: unrecognized argument '%s'\n\n",
-                     argv[0], argv[4]);
-        printUsage(argv[0], stderr, profiles.size());
-        return 2;
-    }
-
-    uint64_t cycles = argc > 1
-        ? countArg(argv[0], "cycles", argv[1], profiles.size())
-        : 1'000'000;
-    uint64_t which = argc > 2
-        ? countArg(argv[0], "profile", argv[2], profiles.size())
-        : 2; // educational
-    size_t topn = argc > 3
-        ? static_cast<size_t>(
-              countArg(argv[0], "topN", argv[3], profiles.size()))
-        : 24;
-
-    if (cycles == 0 || topn == 0) {
-        std::fprintf(stderr, "%s: cycles and topN must be "
-                             "positive\n\n", argv[0]);
-        printUsage(argv[0], stderr, profiles.size());
-        return 2;
-    }
-    if (which >= profiles.size()) {
-        std::fprintf(stderr, "%s: profile %llu out of range "
-                             "(0-%zu)\n\n",
-                     argv[0], (unsigned long long)which,
-                     profiles.size() - 1);
-        printUsage(argv[0], stderr, profiles.size());
-        return 2;
-    }
+    uint64_t cycles = 1'000'000;
+    uint64_t which = 2; // educational
+    size_t topn = 24;
+    const std::string profile_help = "workload profile index 0-" +
+        std::to_string(profiles.size() - 1) + " (default 2)";
+    cli::CommandLine(
+        "Profile a workload and print its hottest control-store "
+        "locations.",
+        {cli::count("cycles", "",
+                    "simulated cycles to profile (default 1000000)",
+                    &cycles, 1, UINT64_MAX),
+         cli::count("profile", "", profile_help.c_str(), &which, 0,
+                    profiles.size() - 1),
+         cli::count("topN", "", "hottest locations to print (default 24)",
+                    &topn, 1, UINT64_MAX)})
+        .parse(&argc, argv);
 
     const WorkloadProfile &prof = profiles[which];
     std::printf("profiling '%s' for %llu cycles...\n\n",

@@ -17,7 +17,6 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "cpu/cpu.hh"
@@ -29,69 +28,25 @@
 
 using namespace vax;
 
-namespace
-{
-
-std::string
-parsePerfettoFlag(int *argc, char **argv)
-{
-    std::string path;
-    int out = 1;
-    for (int i = 1; i < *argc; ++i) {
-        const char *arg = argv[i];
-        if (std::strcmp(arg, "--perfetto") == 0 && i + 1 < *argc) {
-            path = argv[++i];
-        } else if (std::strncmp(arg, "--perfetto=", 11) == 0) {
-            path = arg + 11;
-        } else {
-            argv[out++] = argv[i];
-        }
-    }
-    argv[out] = nullptr;
-    *argc = out;
-    return path;
-}
-
-void
-usage(const char *prog, std::FILE *out)
-{
-    std::fprintf(
-        out,
-        "usage: %s [options]\n"
-        "  --jobs N           worker threads, 0 = one per core"
-        " (also UPC780_JOBS)\n"
-        "  --trace LIST       trace channels, e.g. cache,fault"
-        " (also UPC780_TRACE)\n"
-        "  --stats-json PATH  write the composite stats registry as"
-        " JSON\n"
-        "  --perfetto PATH    write the job timeline as a Chrome"
-        " trace\n"
-        "  --help             this message\n"
-        "Cycles per experiment come from UPC780_CYCLES"
-        " (default 500000).\n",
-        prog);
-}
-
-} // anonymous namespace
-
 int
 main(int argc, char **argv)
 {
-    if (parseBoolFlag(&argc, argv, "help")) {
-        usage(argv[0], stdout);
-        return 0;
-    }
-    trace::parseTraceFlag(&argc, argv);
-    unsigned jobs = parseJobsFlag(&argc, argv, envJobs());
-    std::string stats_path = stats::parseStatsJsonFlag(&argc, argv);
-    std::string perfetto_path = parsePerfettoFlag(&argc, argv);
-    if (argc > 1) {
-        std::fprintf(stderr, "%s: unrecognized argument '%s'\n\n",
-                     argv[0], argv[1]);
-        usage(argv[0], stderr);
-        return 2;
-    }
+    std::optional<unsigned> jobs;
+    std::string stats_path, perfetto_path;
+    cli::CommandLine(
+        "Tour the stats registry, the trace channels and the pool "
+        "telemetry on\none composite run.",
+        {jobsFlag(&jobs), trace::flag(),
+         cli::text("--stats-json", "PATH",
+                   "write the composite stats registry as JSON",
+                   &stats_path),
+         cli::text("--perfetto", "PATH",
+                   "write the job timeline as a Chrome trace",
+                   &perfetto_path)},
+        "Cycles per experiment come from UPC780_CYCLES (default 500000).")
+        .parse(&argc, argv);
 
+    SimPool pool(jobs.value_or(envJobs()));
     uint64_t cycles = benchCycles(500'000);
     std::printf("upc780 observability demo "
                 "(%llu cycles per experiment)\n\n",
@@ -99,7 +54,6 @@ main(int argc, char **argv)
 
     // ---- 1+3. A pooled composite with telemetry. ----
     interrupt::install();
-    SimPool pool(jobs);
     pool.setProgress(true); // heartbeat on stderr as jobs finish
     std::vector<SimJob> job_list = compositeJobs(cycles);
     std::vector<ExperimentResult> results = pool.run(job_list);

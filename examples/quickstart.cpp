@@ -9,6 +9,7 @@
 
 #include "arch/assembler.hh"
 #include "cpu/cpu.hh"
+#include "support/parse.hh"
 #include "upc/analyzer.hh"
 #include "upc/monitor.hh"
 
@@ -16,8 +17,14 @@ using namespace vax;
 using Op = Operand;
 
 int
-main()
+main(int argc, char **argv)
 {
+    cli::CommandLine("Assemble a small VAX program, run it with the UPC "
+                     "monitor attached,\nand derive its timing from the "
+                     "histogram alone.",
+                     {})
+        .parse(&argc, argv);
+
     // 1. A machine and a monitor (the passive histogram board).
     Cpu780 cpu;
     UpcMonitor monitor;

@@ -13,7 +13,8 @@
  */
 
 #include <cstdio>
-#include <cstring>
+#include <optional>
+#include <string>
 
 #include "driver/sim_pool.hh"
 #include "support/parse.hh"
@@ -24,46 +25,37 @@
 
 using namespace vax;
 
-namespace
-{
-
-int
-usageError(const char *prog, const char *what, const char *arg)
-{
-    std::fprintf(stderr,
-                 "%s: %s '%s'\n\n"
-                 "usage: %s [--jobs N] [cycles] [profile 0-4 | all]\n",
-                 prog, what, arg, prog);
-    return 2;
-}
-
-} // anonymous namespace
-
 int
 main(int argc, char **argv)
 {
-    unsigned jobs = parseJobsFlag(&argc, argv, envJobs());
-    if (argc > 3)
-        return usageError(argv[0], "unrecognized argument", argv[3]);
-    uint64_t cycles = 2'000'000;
-    if (argc > 1) {
-        std::optional<uint64_t> v = parseCount(argv[1], UINT64_MAX);
-        if (!v || !*v)
-            return usageError(argv[0], "bad cycle count", argv[1]);
-        cycles = *v;
-    }
-    const char *which_arg = argc > 2 ? argv[2] : "0";
-
     // "all" is the paper's composite; a profile number runs that
     // workload alone, as a composite of one.
     auto profiles = allProfiles();
-    bool all = std::strcmp(which_arg, "all") == 0;
-    std::optional<uint64_t> which =
-        all ? 0 : parseCount(which_arg, profiles.size() - 1);
-    if (!which)
-        return usageError(argv[0], "bad profile", which_arg);
+    std::optional<unsigned> jobs;
+    uint64_t cycles = 2'000'000;
+    uint64_t which = 0;
+    bool all = false;
+    cli::CommandLine(
+        "Run one workload, or the five-workload composite, and print "
+        "its Table 8.",
+        {jobsFlag(&jobs),
+         cli::count("cycles", "", "cycles per workload (default 2000000)",
+                    &cycles, 1, UINT64_MAX),
+         cli::handler("profile", "",
+                      "workload profile index 0-4, or all for the\n"
+                      "composite (default 0)",
+                      [&](const std::string &v) {
+                          std::optional<uint64_t> n =
+                              parseCount(v, profiles.size() - 1);
+                          all = v == "all";
+                          which = n.value_or(0);
+                          return all || n ? std::string()
+                                          : "'" + v + "' is neither a "
+                                            "profile index nor all";
+                      })})
+        .parse(&argc, argv);
 
-    SimPool pool(jobs);
+    SimPool pool(jobs.value_or(envJobs()));
     std::vector<SimJob> job_list;
     if (all) {
         std::printf("characterizing the five-workload composite "
@@ -71,7 +63,7 @@ main(int argc, char **argv)
                     (unsigned long long)cycles, pool.workers());
         job_list = compositeJobs(cycles);
     } else {
-        const WorkloadProfile &prof = profiles[*which];
+        const WorkloadProfile &prof = profiles[which];
         std::printf("characterizing '%s' (%u simulated users, "
                     "%llu cycles = %.2f simulated seconds)\n\n",
                     prof.name.c_str(), prof.numUsers,

@@ -10,31 +10,21 @@
  */
 
 #include <cstdio>
-#include <cstring>
 
 #include "analysis/ulint.hh"
+#include "support/parse.hh"
 #include "ucode/rom.hh"
 
 int
 main(int argc, char **argv)
 {
     bool json = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--json") == 0) {
-            json = true;
-        } else if (std::strcmp(argv[i], "--help") == 0 ||
-                   std::strcmp(argv[i], "-h") == 0) {
-            std::printf("usage: %s [--json]\n"
-                        "Statically verify the assembled microcode "
-                        "ROM; exit 1 on diagnostics.\n",
-                        argv[0]);
-            return 0;
-        } else {
-            std::fprintf(stderr, "%s: unknown option '%s'\n", argv[0],
-                         argv[i]);
-            return 2;
-        }
-    }
+    vax::cli::CommandLine(
+        "Statically verify the assembled microcode ROM; exit 1 on "
+        "diagnostics.",
+        {vax::cli::flag("--json", "machine-readable report on stdout",
+                        &json)})
+        .parse(&argc, argv);
 
     vax::LintReport rep = vax::lintControlStore(vax::microcodeRom());
 

@@ -6,7 +6,6 @@
 #include <climits>
 #include <cmath>
 #include <csignal>
-#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -34,99 +33,6 @@ namespace vax
 
 namespace
 {
-
-// =============== flag parsing (usage + exit 2) ===============
-
-/** Campaign flag errors are *tool* errors, not simulator errors: the
- *  contract is usage on stderr and exit 2, so scripts and the
- *  EXPECT_DEATH tests can tell a bad command line from a bad run. */
-[[noreturn]] void
-usageError(const char *prog, const char *fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
-[[noreturn]] void
-usageError(const char *prog, const char *fmt, ...)
-{
-    std::va_list ap;
-    va_start(ap, fmt);
-    std::fprintf(stderr, "%s: ", prog);
-    std::vfprintf(stderr, fmt, ap);
-    va_end(ap);
-    std::fprintf(stderr, "\n\n");
-    campaignUsage(prog, stderr);
-    std::exit(2);
-}
-
-/** Strip "--<name> V" / "--<name>=V" from argv (same contract as
- *  parseJobsFlag); a valued flag with no value is a usage error. */
-bool
-takeValueFlag(int *argc, char **argv, const char *name,
-              std::string *val)
-{
-    std::string flag = std::string("--") + name;
-    std::string pref = flag + "=";
-    bool have = false;
-    int out = 1;
-    for (int i = 1; i < *argc; ++i) {
-        const char *arg = argv[i];
-        if (flag == arg) {
-            if (i + 1 >= *argc)
-                usageError(argv[0], "%s requires a value",
-                           flag.c_str());
-            *val = argv[++i];
-            have = true;
-        } else if (std::strncmp(arg, pref.c_str(), pref.size()) == 0) {
-            *val = arg + pref.size();
-            have = true;
-        } else {
-            argv[out++] = argv[i];
-        }
-    }
-    argv[out] = nullptr;
-    *argc = out;
-    return have;
-}
-
-/** A count flag's value in [@p min, @p max]; usage and exit 2
- *  otherwise.  @p min is 0 (indices) or 1. */
-uint64_t
-countFlag(const char *prog, const char *flag, const std::string &val,
-          uint64_t min, uint64_t max)
-{
-    std::optional<uint64_t> v = parseCount(val, max);
-    if (!v || *v < min)
-        usageError(prog, "%s: '%s' is not a %s (max %llu)", flag,
-                   val.c_str(),
-                   min ? "positive count" : "non-negative integer",
-                   static_cast<unsigned long long>(max));
-    return *v;
-}
-
-double
-takeSeconds(const char *prog, const char *flag, const std::string &val)
-{
-    char *end = nullptr;
-    errno = 0;
-    double v = std::strtod(val.c_str(), &end);
-    if (errno || end == val.c_str() || *end || !(v > 0.0))
-        usageError(prog, "%s: '%s' is not a positive duration in "
-                   "seconds", flag, val.c_str());
-    return v;
-}
-
-/** Non-negative finite wall-clock stamp ("12345.678900"). */
-double
-takeStamp(const char *prog, const char *flag, const std::string &val)
-{
-    char *end = nullptr;
-    errno = 0;
-    double v = std::strtod(val.c_str(), &end);
-    if (errno || end == val.c_str() || *end || !std::isfinite(v) ||
-        v < 0.0)
-        usageError(prog, "%s: '%s' is not a non-negative wall-clock "
-                   "stamp in seconds", flag, val.c_str());
-    return v;
-}
 
 // =============== small filesystem helpers ===============
 
@@ -290,105 +196,95 @@ struct Manifest
 
 // =============== configuration ===============
 
-void
-campaignUsage(const char *prog, std::FILE *out)
-{
-    std::fprintf(
-        out,
-        "usage: %s --spool DIR [options]\n"
-        "Run the five-workload composite as a crash-tolerant campaign\n"
-        "of supervised worker processes over a shared job spool.\n"
-        "  --spool DIR          spool directory (manifest, job tokens,\n"
-        "                       checkpoints, results, heartbeats, logs)\n"
-        "  --shards N           worker processes to keep alive"
-        " (default 2)\n"
-        "  --cycles N           machine cycles per experiment"
-        " (default 2000000)\n"
-        "  --replicas N         copies of the five-workload set"
-        " (default 1)\n"
-        "  --checkpoint-interval N\n"
-        "                       cycles per chunk/rolling checkpoint"
-        " (default 250000)\n"
-        "  --heartbeat-interval S\n"
-        "                       max seconds between shard heartbeats"
-        " (default 1)\n"
-        "  --heartbeat-timeout S\n"
-        "                       stale-heartbeat SIGKILL threshold;"
-        " must exceed\n"
-        "                       the interval (default 30)\n"
-        "  --max-retries K      attempts before a job is quarantined"
-        " as poison\n"
-        "                       (default 3)\n"
-        "  --backoff-base S     first retry delay; doubles per attempt"
-        " (default 0.25)\n"
-        "  --backoff-cap S      retry delay ceiling (default 8)\n"
-        "  --stats-json PATH    write the composite stats registry as"
-        " JSON\n"
-        "  --perfetto PATH      write the shard timeline as a Chrome"
-        " trace\n"
-        "  --io-faults SPEC     inject host-I/O faults into this\n"
-        "                       process (kind@N[~substr],... or\n"
-        "                       rand=SEED; also via UPC780_IO_FAULTS)\n"
-        "  --chaos-drill SEED   fault-free supervisor, every spawned\n"
-        "                       shard gets a fault schedule derived\n"
-        "                       from SEED; final stats must still be\n"
-        "                       byte-identical to a clean run\n"
-        "  --resume             continue a killed campaign from the"
-        " spool\n"
-        "  --help               this message\n"
-        "A SIGINT/SIGTERM fans out to the shards, drains behind the\n"
-        "per-job checkpoints, and exits 130; rerun with --resume.\n",
-        prog);
-}
-
 CampaignConfig
 CampaignConfig::parseFlags(int *argc, char **argv)
 {
-    const char *prog = argv[0];
     CampaignConfig cfg;
-    if (parseBoolFlag(argc, argv, "help")) {
-        campaignUsage(prog, stdout);
-        std::exit(0);
-    }
-    std::string val;
-    if (takeValueFlag(argc, argv, "spool", &val)) {
-        if (val.empty())
-            usageError(prog, "--spool requires a directory path");
-        cfg.spool = val;
-    }
-    if (takeValueFlag(argc, argv, "shards", &val))
-        cfg.shards = static_cast<unsigned>(
-            countFlag(prog, "--shards", val, 1, UINT_MAX));
-    if (takeValueFlag(argc, argv, "cycles", &val))
-        cfg.cycles = countFlag(prog, "--cycles", val, 1, UINT64_MAX);
-    if (takeValueFlag(argc, argv, "replicas", &val))
-        cfg.replicas = static_cast<unsigned>(
-            countFlag(prog, "--replicas", val, 1, UINT_MAX));
-    if (takeValueFlag(argc, argv, "checkpoint-interval", &val))
-        cfg.intervalCycles = countFlag(prog, "--checkpoint-interval",
-                                       val, 1, UINT64_MAX);
-    if (takeValueFlag(argc, argv, "heartbeat-interval", &val))
-        cfg.heartbeatInterval =
-            takeSeconds(prog, "--heartbeat-interval", val);
-    if (takeValueFlag(argc, argv, "heartbeat-timeout", &val))
-        cfg.heartbeatTimeout =
-            takeSeconds(prog, "--heartbeat-timeout", val);
-    if (takeValueFlag(argc, argv, "max-retries", &val))
-        cfg.maxAttempts = static_cast<unsigned>(
-            countFlag(prog, "--max-retries", val, 1, UINT_MAX));
-    if (takeValueFlag(argc, argv, "backoff-base", &val))
-        cfg.backoffBase = takeSeconds(prog, "--backoff-base", val);
-    if (takeValueFlag(argc, argv, "backoff-cap", &val))
-        cfg.backoffCap = takeSeconds(prog, "--backoff-cap", val);
-    if (takeValueFlag(argc, argv, "stats-json", &val))
-        cfg.statsJsonPath = val;
-    if (takeValueFlag(argc, argv, "perfetto", &val))
-        cfg.tracePath = val;
-    cfg.resume = parseBoolFlag(argc, argv, "resume");
+    std::optional<std::string> io_faults;
+    std::optional<unsigned> shard_id;
+    cli::CommandLine cl(
+        "Run the five-workload composite as a crash-tolerant campaign\n"
+        "of supervised worker processes over a shared job spool.",
+        {
+            cli::text("--spool", "DIR",
+                      "spool directory (manifest, job tokens,\n"
+                      "checkpoints, results, heartbeats, logs)",
+                      &cfg.spool),
+            cli::count("--shards", "N",
+                       "worker processes to keep alive (default 2)",
+                       &cfg.shards, 1, UINT_MAX),
+            cli::count("--cycles", "N",
+                       "machine cycles per experiment (default "
+                       "2000000)",
+                       &cfg.cycles, 1, UINT64_MAX),
+            cli::count("--replicas", "N",
+                       "copies of the five-workload set (default 1)",
+                       &cfg.replicas, 1, UINT_MAX),
+            cli::count("--checkpoint-interval", "N",
+                       "cycles per chunk/rolling checkpoint (default "
+                       "250000)",
+                       &cfg.intervalCycles, 1, UINT64_MAX),
+            cli::seconds("--heartbeat-interval", "S",
+                         "max seconds between shard heartbeats "
+                         "(default 1)",
+                         &cfg.heartbeatInterval),
+            cli::seconds("--heartbeat-timeout", "S",
+                         "stale-heartbeat SIGKILL threshold; must "
+                         "exceed\nthe interval (default 30)",
+                         &cfg.heartbeatTimeout),
+            cli::count("--max-retries", "K",
+                       "attempts before a job is quarantined as "
+                       "poison\n(default 3)",
+                       &cfg.maxAttempts, 1, UINT_MAX),
+            cli::seconds("--backoff-base", "S",
+                         "first retry delay; doubles per attempt "
+                         "(default 0.25)",
+                         &cfg.backoffBase),
+            cli::seconds("--backoff-cap", "S",
+                         "retry delay ceiling (default 8)",
+                         &cfg.backoffCap),
+            cli::text("--stats-json", "PATH",
+                      "write the composite stats registry as JSON",
+                      &cfg.statsJsonPath),
+            cli::text("--perfetto", "PATH",
+                      "write the shard timeline as a Chrome trace",
+                      &cfg.tracePath),
+            cli::text("--io-faults", "SPEC",
+                      "inject host-I/O faults into this process\n"
+                      "(kind@N[~substr],... or rand=SEED; also via\n"
+                      "UPC780_IO_FAULTS)",
+                      &io_faults),
+            cli::count("--chaos-drill", "SEED",
+                       "fault-free supervisor, every spawned shard\n"
+                       "gets a fault schedule derived from SEED;\n"
+                       "final stats must still be byte-identical\n"
+                       "to a clean run",
+                       &cfg.chaosSeed, 1, UINT64_MAX),
+            cli::flag("--resume",
+                      "continue a killed campaign from the spool",
+                      &cfg.resume),
+            // The shard role (the supervisor passes these) and the
+            // crash drills (tests/CI only): validated like the rest,
+            // but left out of the usage.
+            cli::flag("--shard", "", &cfg.shardMode),
+            cli::count("--shard-id", "N", "", &shard_id, 0, UINT_MAX),
+            cli::stamp("--epoch", "S", "", &cfg.epoch),
+            cli::count("--drill-shard0-die-after-chunks", "N", "",
+                       &cfg.drillShard0DieAfterChunks, 1, UINT64_MAX),
+            cli::count("--drill-die-after-results", "N", "",
+                       &cfg.drillDieAfterResults, 1, UINT_MAX),
+            cli::count("--drill-poison-job", "N", "",
+                       &cfg.drillPoisonJob, 0, kNoJob - 1),
+            cli::count("--drill-die-after-chunks", "N", "",
+                       &cfg.shardDieAfterChunks, 1, UINT64_MAX),
+        },
+        "A SIGINT/SIGTERM fans out to the shards, drains behind the\n"
+        "per-job checkpoints, and exits 130; rerun with --resume.");
+    cl.parse(argc, argv);
+    cfg.shardId = shard_id.value_or(0);
 
-    bool have_io_faults = takeValueFlag(argc, argv, "io-faults", &val);
-    if (have_io_faults) {
-        cfg.ioFaults = val;
+    if (io_faults) {
+        cfg.ioFaults = *io_faults;
     } else if (const char *env = std::getenv("UPC780_IO_FAULTS")) {
         if (*env)
             cfg.ioFaults = env;
@@ -398,74 +294,40 @@ CampaignConfig::parseFlags(int *argc, char **argv)
         // parser before a single process launches -- a chaos drill
         // that silently injected nothing would prove nothing.
         io::FaultPlan::parse(cfg.ioFaults);
-    if (takeValueFlag(argc, argv, "chaos-drill", &val))
-        cfg.chaosSeed =
-            countFlag(prog, "--chaos-drill", val, 1, UINT64_MAX);
-
-    cfg.shardMode = parseBoolFlag(argc, argv, "shard");
-    bool have_shard_id = takeValueFlag(argc, argv, "shard-id", &val);
-    if (have_shard_id)
-        cfg.shardId = static_cast<unsigned>(
-            countFlag(prog, "--shard-id", val, 0, UINT_MAX));
-    if (takeValueFlag(argc, argv, "epoch", &val))
-        cfg.epoch = takeStamp(prog, "--epoch", val);
-
-    // Drill knobs (tests/CI only; deliberately undocumented in the
-    // usage text, but validated like everything else).
-    if (takeValueFlag(argc, argv, "drill-shard0-die-after-chunks",
-                      &val))
-        cfg.drillShard0DieAfterChunks = countFlag(
-            prog, "--drill-shard0-die-after-chunks", val, 1, UINT64_MAX);
-    if (takeValueFlag(argc, argv, "drill-die-after-results", &val))
-        cfg.drillDieAfterResults = static_cast<unsigned>(countFlag(
-            prog, "--drill-die-after-results", val, 1, UINT_MAX));
-    if (takeValueFlag(argc, argv, "drill-poison-job", &val))
-        cfg.drillPoisonJob = static_cast<unsigned>(countFlag(
-            prog, "--drill-poison-job", val, 0, kNoJob - 1));
-    if (takeValueFlag(argc, argv, "drill-die-after-chunks", &val))
-        cfg.shardDieAfterChunks = countFlag(
-            prog, "--drill-die-after-chunks", val, 1, UINT64_MAX);
-
-    if (*argc > 1)
-        usageError(prog, "unrecognized argument '%s'", argv[1]);
 
     // Nonsensical combinations are fatal up front: a campaign that
     // silently dropped one of these would run the wrong fleet.
     if (cfg.spool.empty()) {
         if (cfg.resume)
-            usageError(prog, "--resume needs --spool to know where "
-                       "the killed campaign left its state");
+            cl.fail("--resume needs --spool to know where the killed "
+                    "campaign left its state");
         if (cfg.shardMode)
-            usageError(prog, "--shard requires --spool (shards are "
-                       "spawned by the supervisor, not by hand)");
-        usageError(prog, "--spool DIR is required");
+            cl.fail("--shard requires --spool (shards are spawned by "
+                    "the supervisor, not by hand)");
+        cl.fail("--spool DIR is required");
     }
-    if (cfg.shardMode && !have_shard_id)
-        usageError(prog, "--shard requires --shard-id");
-    if (!cfg.shardMode && have_shard_id)
-        usageError(prog, "--shard-id is meaningless without --shard");
-    if (cfg.shards == 0)
-        usageError(prog, "--shards 0 would run no workers; use "
-                   "--shards 1 or more");
+    if (cfg.shardMode && !shard_id)
+        cl.fail("--shard requires --shard-id");
+    if (!cfg.shardMode && shard_id)
+        cl.fail("--shard-id is meaningless without --shard");
     if (cfg.heartbeatTimeout <= cfg.heartbeatInterval)
-        usageError(prog, "--heartbeat-timeout (%.3fs) must exceed "
-                   "--heartbeat-interval (%.3fs), or every healthy "
-                   "shard would be declared hung",
-                   cfg.heartbeatTimeout, cfg.heartbeatInterval);
+        cl.fail("--heartbeat-timeout (%.3fs) must exceed "
+                "--heartbeat-interval (%.3fs), or every healthy "
+                "shard would be declared hung",
+                cfg.heartbeatTimeout, cfg.heartbeatInterval);
     if (cfg.backoffCap < cfg.backoffBase)
-        usageError(prog, "--backoff-cap (%.3fs) is below "
-                   "--backoff-base (%.3fs)", cfg.backoffCap,
-                   cfg.backoffBase);
+        cl.fail("--backoff-cap (%.3fs) is below --backoff-base "
+                "(%.3fs)", cfg.backoffCap, cfg.backoffBase);
     if (cfg.chaosSeed) {
-        if (have_io_faults)
-            usageError(prog, "--chaos-drill and --io-faults are "
-                       "mutually exclusive: the drill derives each "
-                       "shard's schedule from the seed and keeps the "
-                       "supervisor fault-free");
+        if (io_faults)
+            cl.fail("--chaos-drill and --io-faults are mutually "
+                    "exclusive: the drill derives each shard's "
+                    "schedule from the seed and keeps the supervisor "
+                    "fault-free");
         if (cfg.shardMode)
-            usageError(prog, "--chaos-drill belongs to the "
-                       "supervisor; shards receive their derived "
-                       "--io-faults schedule from it");
+            cl.fail("--chaos-drill belongs to the supervisor; shards "
+                    "receive their derived --io-faults schedule from "
+                    "it");
         if (!cfg.ioFaults.empty()) {
             // UPC780_IO_FAULTS is set in the environment.  The drill
             // contract is a clean supervisor, so ignore it loudly

@@ -64,7 +64,6 @@
 #define UPC780_DRIVER_CAMPAIGN_HH
 
 #include <cstdint>
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -140,19 +139,17 @@ struct CampaignConfig
     /** @} */
 
     /**
-     * Parse and strip every campaign flag from argv.  The failure
-     * contract is the tool's: any malformed value, unknown argument
-     * or nonsensical combination (--resume without --spool, --shards
-     * 0, a heartbeat timeout at or below the interval, ...) prints
-     * the usage and exits 2 -- a typo must never launch a different
-     * fleet than the one asked for.  --help prints the usage and
-     * exits 0.
+     * Parse and strip every campaign flag from argv, through the one
+     * command-line table (support/parse.hh), then check the flags
+     * against each other.  Any malformed value, unknown argument or
+     * nonsensical combination (--resume without --spool, --shards 0,
+     * a heartbeat timeout at or below the interval, ...) prints the
+     * usage and exits 2 -- a typo must never launch a different fleet
+     * than the one asked for.  --help prints the usage and exits 0.
+     * A bad --io-faults spec stays fatal (exit 1).
      */
     static CampaignConfig parseFlags(int *argc, char **argv);
 };
-
-/** The campaign tool's usage text (parseFlags prints it on error). */
-void campaignUsage(const char *prog, std::FILE *out);
 
 /**
  * One job's spool token.  The token travels between todo/, claimed/

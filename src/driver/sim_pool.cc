@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <limits>
 #include <memory>
 #include <thread>
 
@@ -135,74 +132,6 @@ runGuardedJob(const SimJob &job, unsigned worker, Clock::time_point t0)
             return r;
         }
     }
-}
-
-/**
- * Strip "--<name> V" / "--<name>=V" from argv (updating *argc); the
- * last occurrence wins.  @return Whether the flag was present, with
- * its value in *val.  A valued flag with no value is fatal rather
- * than silently eating the next positional.
- */
-bool
-parseValueFlag(int *argc, char **argv, const char *name,
-               std::string *val)
-{
-    std::string flag = std::string("--") + name;
-    std::string pref = flag + "=";
-    bool have = false;
-    int out = 1;
-    for (int i = 1; i < *argc; ++i) {
-        const char *arg = argv[i];
-        if (flag == arg) {
-            if (i + 1 >= *argc)
-                fatal("%s requires a value", flag.c_str());
-            *val = argv[++i];
-            have = true;
-        } else if (std::strncmp(arg, pref.c_str(), pref.size()) == 0) {
-            *val = arg + pref.size();
-            have = true;
-        } else {
-            argv[out++] = argv[i];
-        }
-    }
-    argv[out] = nullptr;
-    *argc = out;
-    return have;
-}
-
-/** Parse @p val as a count in [@p min, @p max] for @p flag; fatal
- *  otherwise. */
-uint64_t
-countFlag(const char *flag, const std::string &val, uint64_t min,
-          uint64_t max)
-{
-    std::optional<uint64_t> v = parseCount(val, max);
-    if (!v || *v < min)
-        fatal("%s: '%s' is not a %s count (max %llu)", flag,
-              val.c_str(), min ? "positive" : "non-negative",
-              static_cast<unsigned long long>(max));
-    return *v;
-}
-
-/** Parse @p val as a positive duration in seconds for @p flag. */
-double
-parseSeconds(const char *flag, const std::string &val)
-{
-    char *end = nullptr;
-    errno = 0;
-    double v = std::strtod(val.c_str(), &end);
-    if (errno || end == val.c_str() || *end || !(v > 0.0))
-        fatal("%s: '%s' is not a positive duration in seconds",
-              flag, val.c_str());
-    return v;
-}
-
-/** A worker count for --jobs or UPC780_JOBS (0 = one per core). */
-unsigned
-jobCount(const char *what, const std::string &val)
-{
-    return static_cast<unsigned>(
-        countFlag(what, val, 0, std::numeric_limits<unsigned>::max()));
 }
 
 } // anonymous namespace
@@ -525,65 +454,23 @@ compositeJobs(uint64_t cycles_per_experiment)
     return jobs;
 }
 
-CompositeResult
-runCompositePooled(uint64_t cycles_per_experiment, unsigned jobs)
+cli::Entry
+jobsFlag(std::optional<unsigned> *jobs, const char *help)
 {
-    return SimPool(jobs).runComposite(
-        compositeJobs(cycles_per_experiment));
-}
-
-unsigned
-parseJobsFlag(int *argc, char **argv, unsigned def)
-{
-    std::string val;
-    return parseValueFlag(argc, argv, "jobs", &val)
-        ? jobCount("--jobs", val)
-        : def;
+    return cli::count("--jobs", "N", help, jobs, 0, UINT_MAX);
 }
 
 unsigned
 envJobs(unsigned def)
 {
-    const char *env = std::getenv("UPC780_JOBS");
-    return env && *env ? jobCount("UPC780_JOBS", env) : def;
+    return static_cast<unsigned>(
+        envCount("UPC780_JOBS", def, 0, UINT_MAX));
 }
 
 uint64_t
 benchCycles(uint64_t def)
 {
-    const char *env = std::getenv("UPC780_CYCLES");
-    return env && *env ? countFlag("UPC780_CYCLES", env, 1, UINT64_MAX)
-                       : def;
-}
-
-RunLimits
-parseLimitsFlags(int *argc, char **argv)
-{
-    RunLimits limits;
-    std::string val;
-    if (parseValueFlag(argc, argv, "watchdog-cycles", &val))
-        limits.watchdogCycles =
-            countFlag("--watchdog-cycles", val, 1, UINT64_MAX);
-    if (parseValueFlag(argc, argv, "job-timeout", &val))
-        limits.timeoutSeconds = parseSeconds("--job-timeout", val);
-    return limits;
-}
-
-bool
-parseBoolFlag(int *argc, char **argv, const char *name)
-{
-    std::string flag = std::string("--") + name;
-    bool found = false;
-    int out = 1;
-    for (int i = 1; i < *argc; ++i) {
-        if (flag == argv[i])
-            found = true;
-        else
-            argv[out++] = argv[i];
-    }
-    argv[out] = nullptr;
-    *argc = out;
-    return found;
+    return envCount("UPC780_CYCLES", def, 1, UINT64_MAX);
 }
 
 } // namespace vax

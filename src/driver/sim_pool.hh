@@ -30,6 +30,7 @@
 
 #include "cpu/cpu.hh"
 #include "os/vms.hh"
+#include "support/parse.hh"
 #include "workload/experiments.hh"
 #include "workload/profile.hh"
 
@@ -214,21 +215,17 @@ CompositeResult mergeComposite(const std::vector<SimJob> &jobs,
 /** The paper's five workloads as a job list (weight 1 each). */
 std::vector<SimJob> compositeJobs(uint64_t cycles_per_experiment);
 
-/** Five-workload composite on a pool: the parallel runComposite().
- *  @param jobs Worker threads; 0 means one per hardware core. */
-CompositeResult runCompositePooled(uint64_t cycles_per_experiment,
-                                   unsigned jobs = 0);
-
 /**
- * Strip a "--jobs N" / "--jobs=N" flag from argv (updating *argc) and
- * return N; returns def when the flag is absent.  0 means "one worker
- * per hardware core" everywhere a job count is accepted.  Anything
- * but a non-negative integer is fatal.
+ * The "--jobs N" command-line entry: worker threads, 0 = one per
+ * hardware core.  Left empty when the flag is absent: after parsing,
+ * jobs->value_or(envJobs()) lets the flag override UPC780_JOBS.
  */
-unsigned parseJobsFlag(int *argc, char **argv, unsigned def = 0);
+cli::Entry jobsFlag(std::optional<unsigned> *jobs,
+                    const char *help = "worker threads, 0 = one per "
+                                       "core (also UPC780_JOBS)");
 
 /** The UPC780_JOBS environment variable (empty = unset), else def;
- *  garbage is fatal, as for --jobs. */
+ *  anything but a non-negative integer is fatal. */
 unsigned envJobs(unsigned def = 0);
 
 /**
@@ -237,19 +234,6 @@ unsigned envJobs(unsigned def = 0);
  * positive integer is fatal.
  */
 uint64_t benchCycles(uint64_t def = 2'000'000);
-
-/**
- * Strip --watchdog-cycles N and --job-timeout SECONDS from argv and
- * return them as RunLimits (zero fields = flag absent).  Malformed
- * values are fatal, matching the --faults contract.
- */
-RunLimits parseLimitsFlags(int *argc, char **argv);
-
-/**
- * Strip a valueless "--<name>" flag from argv (updating *argc, same
- * contract as parseJobsFlag).  @return True when the flag was present.
- */
-bool parseBoolFlag(int *argc, char **argv, const char *name);
 
 } // namespace vax
 

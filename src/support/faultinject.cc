@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <cstring>
 
 #include "support/logging.hh"
 #include "support/parse.hh"
@@ -114,29 +113,6 @@ FaultConfig::fromEnv()
     if (!env || !*env)
         return FaultConfig();
     return parse(env);
-}
-
-FaultConfig
-FaultConfig::parseFlag(int *argc, char **argv)
-{
-    std::string spec;
-    bool have = false;
-    int out = 1;
-    for (int i = 1; i < *argc; ++i) {
-        const char *arg = argv[i];
-        if (std::strcmp(arg, "--faults") == 0 && i + 1 < *argc) {
-            spec = argv[++i];
-            have = true;
-        } else if (std::strncmp(arg, "--faults=", 9) == 0) {
-            spec = arg + 9;
-            have = true;
-        } else {
-            argv[out++] = argv[i];
-        }
-    }
-    argv[out] = nullptr;
-    *argc = out;
-    return have ? parse(spec) : fromEnv();
 }
 
 FaultInjector::FaultInjector(const FaultConfig &cfg,

@@ -77,10 +77,6 @@ struct FaultConfig
 
     /** The UPC780_FAULTS environment variable, else defaults. */
     static FaultConfig fromEnv();
-
-    /** Strip a "--faults SPEC" / "--faults=SPEC" flag from argv
-     *  (same contract as parseJobsFlag); falls back to fromEnv(). */
-    static FaultConfig parseFlag(int *argc, char **argv);
 };
 
 /** Injection and delivery counters, merged like every other stat. */

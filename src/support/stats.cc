@@ -1,7 +1,6 @@
 #include "support/stats.hh"
 
 #include <cstdio>
-#include <cstring>
 
 #include "support/iofault.hh"
 #include "support/logging.hh"
@@ -223,26 +222,6 @@ bool
 Registry::saveJson(const std::string &path) const
 {
     return writeFile(path, dumpJson());
-}
-
-std::string
-parseStatsJsonFlag(int *argc, char **argv)
-{
-    std::string path;
-    int out = 1;
-    for (int i = 1; i < *argc; ++i) {
-        const char *arg = argv[i];
-        if (std::strcmp(arg, "--stats-json") == 0 && i + 1 < *argc) {
-            path = argv[++i];
-        } else if (std::strncmp(arg, "--stats-json=", 13) == 0) {
-            path = arg + 13;
-        } else {
-            argv[out++] = argv[i];
-        }
-    }
-    argv[out] = nullptr;
-    *argc = out;
-    return path;
 }
 
 } // namespace vax::stats

@@ -113,13 +113,6 @@ class Registry
  *  integers, formulas as shortest-round-trip decimals). */
 std::string formatValue(const Registry::Stat &s);
 
-/**
- * Strip a "--stats-json PATH" / "--stats-json=PATH" flag from argv
- * (updating *argc, same contract as parseJobsFlag) and return PATH;
- * empty when the flag is absent.
- */
-std::string parseStatsJsonFlag(int *argc, char **argv);
-
 } // namespace vax::stats
 
 #endif // UPC780_SUPPORT_STATS_HH

@@ -2,9 +2,10 @@
 
 #include <cstdarg>
 #include <cstdlib>
-#include <cstring>
+#include <vector>
 
 #include "support/logging.hh"
+#include "support/parse.hh"
 
 namespace vax::trace
 {
@@ -22,11 +23,12 @@ static_assert(sizeof(kChannelNames) / sizeof(kChannelNames[0]) ==
 constexpr uint32_t kAllMask =
     (1u << static_cast<unsigned>(Channel::NumChannels)) - 1;
 
+/** The bits of a comma-separated channel list; each name it does
+ *  not know goes to @p unknown. */
 uint32_t
-maskFromList(const std::string &list, bool *all_known)
+maskFromList(const std::string &list, std::vector<std::string> *unknown)
 {
     uint32_t mask = 0;
-    bool known = true;
     size_t pos = 0;
     while (pos <= list.size()) {
         size_t comma = list.find(',', pos);
@@ -49,15 +51,25 @@ maskFromList(const std::string &list, bool *all_known)
                 break;
             }
         }
-        if (!found) {
-            known = false;
-            warn("trace: unknown channel '%s' (have: ucode, idecode, "
-                 "cache, tb, mem, sbi, os, pool, fault, all)",
-                 name.c_str());
-        }
+        if (!found)
+            unknown->push_back(name);
     }
+    return mask;
+}
+
+constexpr const char *kHave =
+    "(have: ucode, idecode, cache, tb, mem, sbi, os, pool, fault, all)";
+
+/** maskFromList, warning once for each unknown name. */
+uint32_t
+maskWarning(const std::string &list, bool *all_known)
+{
+    std::vector<std::string> unknown;
+    uint32_t mask = maskFromList(list, &unknown);
+    for (const std::string &name : unknown)
+        warn("trace: unknown channel '%s' %s", name.c_str(), kHave);
     if (all_known)
-        *all_known = known;
+        *all_known = unknown.empty();
     return mask;
 }
 
@@ -67,7 +79,7 @@ initialMask()
     const char *env = std::getenv("UPC780_TRACE");
     if (!env || !*env)
         return 0;
-    return maskFromList(env, nullptr);
+    return maskWarning(env, nullptr);
 }
 
 /** Default sink: one unbuffered fwrite per complete line, so lines
@@ -119,26 +131,25 @@ bool
 enableList(const std::string &list)
 {
     bool all_known = false;
-    g_mask |= maskFromList(list, &all_known);
+    g_mask |= maskWarning(list, &all_known);
     return all_known;
 }
 
-void
-parseTraceFlag(int *argc, char **argv)
+cli::Entry
+flag()
 {
-    int out = 1;
-    for (int i = 1; i < *argc; ++i) {
-        const char *arg = argv[i];
-        if (std::strcmp(arg, "--trace") == 0 && i + 1 < *argc) {
-            enableList(argv[++i]);
-        } else if (std::strncmp(arg, "--trace=", 8) == 0) {
-            enableList(arg + 8);
-        } else {
-            argv[out++] = argv[i];
-        }
-    }
-    argv[out] = nullptr;
-    *argc = out;
+    return cli::handler(
+        "--trace", "LIST",
+        "trace channels, e.g. cache,fault (also UPC780_TRACE)",
+        [](const std::string &list) {
+            std::vector<std::string> unknown;
+            uint32_t mask = maskFromList(list, &unknown);
+            if (!unknown.empty())
+                return "unknown channel '" + unknown.front() + "' " +
+                    kHave;
+            g_mask |= mask;
+            return std::string();
+        });
 }
 
 void

@@ -12,8 +12,8 @@
  * normal runs.
  *
  * Channels are enabled at run time from the UPC780_TRACE environment
- * variable (comma list: UPC780_TRACE=ucode,cache) or a parsed --trace
- * flag (parseTraceFlag), or programmatically (enable/enableList).
+ * variable (comma list: UPC780_TRACE=ucode,cache), a --trace flag
+ * (the flag() table entry), or programmatically (enable/enableList).
  *
  * Cycle stamps come from a thread-local counter pointer that Cpu780
  * installs (setCycleCounter); code tracing outside a simulation
@@ -28,6 +28,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+
+namespace vax::cli
+{
+struct Entry;
+}
 
 namespace vax::trace
 {
@@ -77,10 +82,11 @@ void disableAll();
 bool enableList(const std::string &list);
 
 /**
- * Strip a "--trace LIST" / "--trace=LIST" flag from argv (updating
- * *argc, same contract as parseJobsFlag) and enable those channels.
+ * The "--trace LIST" command-line entry: each occurrence enables its
+ * channels.  Unlike UPC780_TRACE, an unknown name is a usage error
+ * that names it and lists the channels.
  */
-void parseTraceFlag(int *argc, char **argv);
+cli::Entry flag();
 
 /** @{ Cycle stamping: Cpu780 installs its cycle counter here. */
 void setCycleCounter(const uint64_t *counter);

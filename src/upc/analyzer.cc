@@ -88,17 +88,6 @@ HistogramAnalyzer::HistogramAnalyzer(const ControlStore &cs,
     classify();
 }
 
-HistogramAnalyzer::HistogramAnalyzer(
-    const ControlStore &cs, const std::vector<const Histogram *> &parts,
-    const std::vector<uint64_t> &weights)
-    : cs_(cs),
-      owned_(std::make_unique<Histogram>(
-          weightedComposite(parts, weights))),
-      hist_(*owned_)
-{
-    classify();
-}
-
 void
 HistogramAnalyzer::classify()
 {

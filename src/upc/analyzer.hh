@@ -15,7 +15,6 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "arch/opcodes.hh"
@@ -34,18 +33,6 @@ class HistogramAnalyzer
 {
   public:
     HistogramAnalyzer(const ControlStore &cs, const Histogram &hist);
-
-    /**
-     * Analyze a weighted composite of several histograms in one call
-     * (the paper's five-workload composite).  The merged histogram is
-     * owned by the analyzer, so the parts need not outlive it.
-     *
-     * @param parts   Per-workload histograms; null entries skipped.
-     * @param weights Per-part weights; missing entries default to 1.
-     */
-    HistogramAnalyzer(const ControlStore &cs,
-                      const std::vector<const Histogram *> &parts,
-                      const std::vector<uint64_t> &weights = {});
 
     /** Instructions executed (count of the IID microword). */
     uint64_t instructions() const { return instructions_; }
@@ -135,8 +122,6 @@ class HistogramAnalyzer
     void classify();
 
     const ControlStore &cs_;
-    /** Set by the composite constructor; hist_ then refers to it. */
-    std::unique_ptr<Histogram> owned_;
     const Histogram &hist_;
 
     uint64_t instructions_ = 0;

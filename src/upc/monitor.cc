@@ -17,19 +17,6 @@ Histogram::merge(const Histogram &other, uint64_t weight)
     }
 }
 
-Histogram
-weightedComposite(const std::vector<const Histogram *> &parts,
-                  const std::vector<uint64_t> &weights)
-{
-    Histogram total;
-    for (size_t i = 0; i < parts.size(); ++i) {
-        if (!parts[i])
-            continue;
-        total.merge(*parts[i], i < weights.size() ? weights[i] : 1);
-    }
-    return total;
-}
-
 uint64_t
 Histogram::cycles() const
 {

@@ -54,9 +54,6 @@ struct Histogram
      */
     void merge(const Histogram &other, uint64_t weight = 1);
 
-    /** Sum another histogram into this one (composite workloads). */
-    void add(const Histogram &other) { merge(other); }
-
     /** Total cycles recorded. */
     uint64_t cycles() const;
 
@@ -81,16 +78,6 @@ struct Histogram
         a.blob("stalled", stalled);
     }
 };
-
-/**
- * Weighted sum of several histograms in one call (the paper's
- * five-workload composite, or any re-weighted what-if mix).
- *
- * @param parts   Histograms to merge; null entries are skipped.
- * @param weights Per-part weights; missing entries default to 1.
- */
-Histogram weightedComposite(const std::vector<const Histogram *> &parts,
-                            const std::vector<uint64_t> &weights = {});
 
 class UpcMonitor
 {

@@ -271,7 +271,7 @@ runComposite(uint64_t cycles_per_experiment)
     CompositeResult comp;
     for (const auto &prof : allProfiles()) {
         ExperimentResult r = runExperiment(prof, cycles_per_experiment);
-        comp.hist.add(r.hist);
+        comp.hist.merge(r.hist);
         comp.hw.add(r.hw);
         comp.parts.push_back(std::move(r));
     }

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.hh"
 #include "cpu/cpu.hh"
 #include "driver/sim_pool.hh"
 #include "mem/mem_system.hh"
@@ -84,20 +85,6 @@ TEST(MergeLayer, HistogramWeightedMerge)
     EXPECT_EQ(a.stalled[9], 15u);
 }
 
-TEST(MergeLayer, WeightedCompositeOneCall)
-{
-    Histogram a, b;
-    a.normal[1] = 2;
-    b.normal[1] = 5;
-    b.stalled[2] = 1;
-    Histogram total = weightedComposite({&a, &b}, {2, 1});
-    EXPECT_EQ(total.normal[1], 9u);
-    EXPECT_EQ(total.stalled[2], 1u);
-    // Missing weights default to 1; null parts are skipped.
-    Histogram total2 = weightedComposite({&a, nullptr, &b});
-    EXPECT_EQ(total2.normal[1], 7u);
-}
-
 TEST(MergeLayer, StatsAccumulateOperators)
 {
     CacheStats c1, c2;
@@ -129,26 +116,6 @@ TEST(MergeLayer, StatsAccumulateOperators)
     counter::accumulate(h3, h2, 5);
     EXPECT_EQ(h3.instructions, 55u);
     EXPECT_EQ(h3.contextSwitches, 10u);
-}
-
-TEST(MergeLayer, AnalyzerWeightedCompositeMatchesManualMerge)
-{
-    Cpu780 ref;
-    const ControlStore &cs = ref.controlStore();
-    Histogram a, b;
-    a.normal[cs.entries.iid] = 100;
-    b.normal[cs.entries.iid] = 50;
-
-    HistogramAnalyzer an(cs, {&a, &b}, {1, 2});
-    EXPECT_EQ(an.instructions(), 200u);
-
-    Histogram manual;
-    manual.merge(a, 1);
-    manual.merge(b, 2);
-    HistogramAnalyzer an2(cs, manual);
-    EXPECT_EQ(an2.instructions(), an.instructions());
-    EXPECT_DOUBLE_EQ(an2.cyclesPerInstruction(),
-                     an.cyclesPerInstruction());
 }
 
 // ===================== histogram CSV =====================
@@ -271,7 +238,8 @@ TEST(SimPool, FourJobPoolMatchesSerialCompositeBitForBit)
     // The acceptance contract: a pooled composite is byte-identical
     // to the serial path, at any worker count, merged in any order.
     CompositeResult serial = runComposite(kCycles);
-    CompositeResult pooled = runCompositePooled(kCycles, 4);
+    CompositeResult pooled =
+        SimPool(4).runComposite(compositeJobs(kCycles));
 
     ASSERT_EQ(serial.parts.size(), pooled.parts.size());
     expectHistogramsEqual(serial.hist, pooled.hist);
@@ -325,7 +293,8 @@ TEST(SimPool, WorkerCountDoesNotChangeResults)
 namespace
 {
 
-/** parseJobsFlag over a mutable copy of @p args (after "prog"). */
+/** The worker count the table benches' command line (bench::Options)
+ *  reads from a mutable copy of @p args (after "prog"). */
 unsigned
 jobsFrom(std::initializer_list<const char *> args, unsigned def = 7)
 {
@@ -336,7 +305,10 @@ jobsFrom(std::initializer_list<const char *> args, unsigned def = 7)
         argv.push_back(a.data());
     argv.push_back(nullptr);
     int argc = static_cast<int>(strings.size());
-    return parseJobsFlag(&argc, argv.data(), def);
+    bench::Options o;
+    o.jobs = def;
+    cli::CommandLine("", o.flags()).parse(&argc, argv.data());
+    return *o.jobs;
 }
 
 } // anonymous namespace

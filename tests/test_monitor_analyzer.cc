@@ -62,7 +62,7 @@ TEST(Monitor, HistogramAccumulation)
     a.stalled[3] = 2;
     b.normal[3] = 1;
     b.normal[9] = 5;
-    a.add(b);
+    a.merge(b);
     EXPECT_EQ(a.normal[3], 8u);
     EXPECT_EQ(a.stalled[3], 2u);
     EXPECT_EQ(a.normal[9], 5u);

@@ -31,6 +31,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bench/bench_util.hh"
 #include "driver/campaign.hh"
 #include "driver/sim_pool.hh"
 #include "support/archive.hh"
@@ -1059,7 +1060,9 @@ TEST(CheckpointFlags, LimitsParseAndStrip)
         argv[i] = const_cast<char *>(argv_in[i]);
     argv[argc] = nullptr;
 
-    RunLimits limits = parseLimitsFlags(&argc, argv);
+    bench::Options o;
+    cli::CommandLine("", o.flags()).parse(&argc, argv);
+    RunLimits limits = o.limits;
     EXPECT_EQ(limits.watchdogCycles, 100'000u);
     EXPECT_DOUBLE_EQ(limits.timeoutSeconds, 2.5);
     EXPECT_EQ(argc, 1);
@@ -1074,7 +1077,8 @@ TEST(CheckpointFlags, TyposAreFatal)
             argv.push_back(const_cast<char *>(a));
         argv.push_back(nullptr);
         int argc = static_cast<int>(argv.size()) - 1;
-        (void)parseLimitsFlags(&argc, argv.data());
+        bench::Options o;
+        cli::CommandLine("", o.flags()).parse(&argc, argv.data());
     };
     EXPECT_DEATH(parse({"--job-timeout=-3"}), "not a positive");
     EXPECT_DEATH(parse({"--watchdog-cycles"}), "requires a value");

@@ -12,7 +12,9 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "bench/bench_util.hh"
 #include "driver/sim_pool.hh"
 #include "support/stats.hh"
 #include "support/trace.hh"
@@ -151,7 +153,12 @@ TEST(StatsRegistry, ParseStatsJsonFlag)
         argv[i] = const_cast<char *>(argv_in[i]);
     argv[5] = nullptr;
     int argc = 5;
-    std::string path = stats::parseStatsJsonFlag(&argc, argv);
+    bench::Options o;
+    std::string operand;
+    std::vector<cli::Entry> table = o.flags();
+    table.push_back(cli::text("operand", "", "", &operand));
+    cli::CommandLine("", table).parse(&argc, argv);
+    std::string path = o.statsPath;
     EXPECT_EQ(path, "two.json"); // last flag wins
     ASSERT_EQ(argc, 2);
     EXPECT_STREQ(argv[1], "other");
@@ -297,7 +304,10 @@ TEST(TraceChannels, ParseTraceFlagStripsArgv)
         argv[i] = const_cast<char *>(argv_in[i]);
     argv[5] = nullptr;
     int argc = 5;
-    trace::parseTraceFlag(&argc, argv);
+    std::string operand;
+    cli::CommandLine("", {trace::flag(),
+                          cli::text("operand", "", "", &operand)})
+        .parse(&argc, argv);
     ASSERT_EQ(argc, 2);
     EXPECT_STREQ(argv[1], "keep");
     EXPECT_TRUE(trace::enabled(trace::Channel::Tb));

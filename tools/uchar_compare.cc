@@ -11,18 +11,18 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 
+#include "support/parse.hh"
 #include "upc/ucharacterize.hh"
 
 namespace
 {
 
 bool
-readFile(const char *path, std::string *out)
+readFile(const std::string &path, std::string *out)
 {
     std::ifstream in(path, std::ios::binary);
     if (!in)
@@ -40,43 +40,40 @@ main(int argc, char **argv)
 {
     using namespace vax;
 
-    if (argc == 2 && (std::strcmp(argv[1], "--help") == 0 ||
-                      std::strcmp(argv[1], "-h") == 0)) {
-        std::printf("usage: %s BASELINE.json CURRENT.json\n"
-                    "\n"
-                    "Exit 0 when the reports are identical, 1 with a\n"
-                    "named per-opcode delta report otherwise.\n",
-                    argv[0]);
-        return 0;
-    }
-    if (argc != 3) {
-        std::fprintf(stderr,
-                     "usage: %s BASELINE.json CURRENT.json\n",
-                     argv[0]);
-        return 2;
-    }
+    std::string base_path, cur_path;
+    cli::CommandLine(
+        "Exit 0 when the reports are identical, 1 with a\n"
+        "named per-opcode delta report otherwise.",
+        {cli::required(cli::text("BASELINE.json", "",
+                                 "the committed ucharacterize --json "
+                                 "report",
+                                 &base_path)),
+         cli::required(cli::text("CURRENT.json", "",
+                                 "a fresh ucharacterize --json report",
+                                 &cur_path))})
+        .parse(&argc, argv);
 
     std::string base_text, cur_text, err;
-    if (!readFile(argv[1], &base_text)) {
+    if (!readFile(base_path, &base_text)) {
         std::fprintf(stderr, "uchar_compare: cannot read '%s'\n",
-                     argv[1]);
+                     base_path.c_str());
         return 2;
     }
-    if (!readFile(argv[2], &cur_text)) {
+    if (!readFile(cur_path, &cur_text)) {
         std::fprintf(stderr, "uchar_compare: cannot read '%s'\n",
-                     argv[2]);
+                     cur_path.c_str());
         return 2;
     }
 
     UcharReport baseline, current;
     if (!ucharParseJson(base_text, &baseline, &err)) {
-        std::fprintf(stderr, "uchar_compare: %s: %s\n", argv[1],
-                     err.c_str());
+        std::fprintf(stderr, "uchar_compare: %s: %s\n",
+                     base_path.c_str(), err.c_str());
         return 2;
     }
     if (!ucharParseJson(cur_text, &current, &err)) {
-        std::fprintf(stderr, "uchar_compare: %s: %s\n", argv[2],
-                     err.c_str());
+        std::fprintf(stderr, "uchar_compare: %s: %s\n",
+                     cur_path.c_str(), err.c_str());
         return 2;
     }
 

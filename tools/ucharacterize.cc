@@ -13,8 +13,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "driver/sim_pool.hh"
@@ -23,102 +21,45 @@
 #include "upc/ucharacterize.hh"
 #include "workload/uchar_corpus.hh"
 
-namespace
-{
-
-void
-printUsage(const char *prog, std::FILE *out)
-{
-    std::fprintf(out,
-        "usage: %s [options]\n"
-        "\n"
-        "Run the per-opcode x specifier-mode characterization suite.\n"
-        "\n"
-        "options:\n"
-        "  --json            emit the report as JSON (baseline format)\n"
-        "  --csv             emit the report as CSV\n"
-        "  --out FILE        write the report to FILE instead of stdout\n"
-        "  --jobs N          worker threads (0 = one per core; output\n"
-        "                    is byte-identical at any worker count)\n"
-        "  --opcode LIST     only the comma-separated mnemonics\n"
-        "  --smoke           small corpus (a fixed opcode subset) with\n"
-        "                    a short loop -- the ctest smoke entry\n"
-        "  --iters N         steady-state loop iterations (default 16)\n"
-        "  --unroll N        copies per iteration (default 8)\n"
-        "  --stats-json FILE also dump suite stats (uchar.* registry)\n"
-        "  --help            this message\n",
-        prog);
-}
-
-bool
-parseValueFlag(int *argc, char **argv, const char *name,
-               std::string *value)
-{
-    size_t len = std::strlen(name);
-    for (int i = 1; i < *argc; ++i) {
-        const char *arg = argv[i];
-        bool match_split = std::strcmp(arg, name) == 0;
-        bool match_eq = std::strncmp(arg, name, len) == 0 &&
-            arg[len] == '=';
-        if (!match_split && !match_eq)
-            continue;
-        int used = 1;
-        if (match_eq) {
-            *value = arg + len + 1;
-        } else {
-            if (i + 1 >= *argc) {
-                std::fprintf(stderr, "%s: %s needs a value\n",
-                             argv[0], name);
-                std::exit(2);
-            }
-            *value = argv[i + 1];
-            used = 2;
-        }
-        for (int j = i; j + used <= *argc; ++j)
-            argv[j] = argv[j + used];
-        *argc -= used;
-        return true;
-    }
-    return false;
-}
-
-uint32_t
-parseU32(const char *prog, const char *what, const std::string &s)
-{
-    std::optional<uint64_t> v = vax::parseCount(s, UINT32_MAX);
-    if (!v || !*v) {
-        std::fprintf(stderr, "%s: bad %s '%s' (positive integer)\n",
-                     prog, what, s.c_str());
-        std::exit(2);
-    }
-    return static_cast<uint32_t>(*v);
-}
-
-} // anonymous namespace
-
 int
 main(int argc, char **argv)
 {
     using namespace vax;
 
-    if (parseBoolFlag(&argc, argv, "help")) {
-        printUsage(argv[0], stdout);
-        return 0;
-    }
-
-    bool json = parseBoolFlag(&argc, argv, "json");
-    bool csv = parseBoolFlag(&argc, argv, "csv");
-    bool smoke = parseBoolFlag(&argc, argv, "smoke");
-    unsigned jobs = parseJobsFlag(&argc, argv, envJobs(0));
-    std::string statsPath = stats::parseStatsJsonFlag(&argc, argv);
-
+    bool json = false, csv = false, smoke = false;
+    std::optional<unsigned> jobs;
+    std::string statsPath, out_path;
+    uint32_t iters = 0, unroll = 0; // 0: not given
     UcharParams params;
     UcharSuiteOptions opts;
-    std::string out_path, value;
-    if (parseValueFlag(&argc, argv, "--out", &value))
-        out_path = value;
-    if (parseValueFlag(&argc, argv, "--opcode", &value))
-        opts.opcodeFilter = value;
+    cli::CommandLine cl(
+        "Run the per-opcode x specifier-mode characterization suite.",
+        {cli::flag("--json", "emit the report as JSON (baseline format)",
+                   &json),
+         cli::flag("--csv", "emit the report as CSV", &csv),
+         cli::text("--out", "FILE",
+                   "write the report to FILE instead of stdout",
+                   &out_path),
+         jobsFlag(&jobs, "worker threads (0 = one per core; output\n"
+                         "is byte-identical at any worker count)"),
+         cli::text("--opcode", "LIST",
+                   "only the comma-separated mnemonics",
+                   &opts.opcodeFilter),
+         cli::flag("--smoke",
+                   "small corpus (a fixed opcode subset) with\n"
+                   "a short loop -- the ctest smoke entry",
+                   &smoke),
+         cli::count("--iters", "N",
+                    "steady-state loop iterations (default 16)", &iters,
+                    1, UINT32_MAX),
+         cli::count("--unroll", "N", "copies per iteration (default 8)",
+                    &unroll, 1, UINT32_MAX),
+         cli::text("--stats-json", "FILE",
+                   "also dump suite stats (uchar.* registry)",
+                   &statsPath)});
+    cl.parse(&argc, argv);
+    if (json && csv)
+        cl.fail("pick one of --json / --csv");
     if (smoke) {
         params.iters = 4;
         if (opts.opcodeFilter.empty())
@@ -126,24 +67,12 @@ main(int argc, char **argv)
                                 "SOBGTR,EXTV,MULF2,MOVC3,ADDP4,"
                                 "INSQUE,MTPR";
     }
-    if (parseValueFlag(&argc, argv, "--iters", &value))
-        params.iters = parseU32(argv[0], "--iters", value);
-    if (parseValueFlag(&argc, argv, "--unroll", &value))
-        params.unroll = parseU32(argv[0], "--unroll", value);
+    if (iters)
+        params.iters = iters;
+    if (unroll)
+        params.unroll = unroll;
 
-    if (argc > 1) {
-        std::fprintf(stderr, "%s: unrecognized argument '%s'\n\n",
-                     argv[0], argv[1]);
-        printUsage(argv[0], stderr);
-        return 2;
-    }
-    if (json && csv) {
-        std::fprintf(stderr, "%s: pick one of --json / --csv\n",
-                     argv[0]);
-        return 2;
-    }
-
-    SimPool pool(jobs);
+    SimPool pool(jobs.value_or(envJobs()));
     ParallelFor pf = [&pool](size_t n,
                              const std::function<void(size_t)> &fn) {
         pool.forEach(n, fn);

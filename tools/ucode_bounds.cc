@@ -14,14 +14,13 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "analysis/ubound.hh"
 #include "driver/sim_pool.hh"
+#include "support/parse.hh"
 #include "support/stats.hh"
 #include "ucode/rom.hh"
 #include "upc/ucharacterize.hh"
@@ -29,69 +28,6 @@
 
 namespace
 {
-
-void
-printUsage(const char *prog, std::FILE *out)
-{
-    std::fprintf(out,
-        "usage: %s [options]\n"
-        "\n"
-        "Static cycle-bound analysis of the microcode ROM.\n"
-        "\n"
-        "options:\n"
-        "  --check FILE      cross-check a ucharacterize baseline "
-        "JSON:\n"
-        "                    every measured row must satisfy\n"
-        "                    bcc <= cycles <= wcc (exit 1 on breach)\n"
-        "  --annotate FILE   with --check: write the baseline back "
-        "out\n"
-        "                    with bcc/wcc columns attached per row\n"
-        "  --json            emit the bounds report as JSON\n"
-        "  --csv             emit the bounds report as CSV\n"
-        "  --out FILE        write the report to FILE instead of "
-        "stdout\n"
-        "  --jobs N          worker threads for the baseline check "
-        "(0 =\n"
-        "                    one per core; output is byte-identical "
-        "at\n"
-        "                    any worker count)\n"
-        "  --stats-json FILE also dump ubound.* / uchar.bounds.* "
-        "stats\n"
-        "  --help            this message\n",
-        prog);
-}
-
-bool
-parseValueFlag(int *argc, char **argv, const char *name,
-               std::string *value)
-{
-    size_t len = std::strlen(name);
-    for (int i = 1; i < *argc; ++i) {
-        const char *arg = argv[i];
-        bool match_split = std::strcmp(arg, name) == 0;
-        bool match_eq = std::strncmp(arg, name, len) == 0 &&
-            arg[len] == '=';
-        if (!match_split && !match_eq)
-            continue;
-        int used = 1;
-        if (match_eq) {
-            *value = arg + len + 1;
-        } else {
-            if (i + 1 >= *argc) {
-                std::fprintf(stderr, "%s: %s needs a value\n",
-                             argv[0], name);
-                std::exit(2);
-            }
-            *value = argv[i + 1];
-            used = 2;
-        }
-        for (int j = i; j + used <= *argc; ++j)
-            argv[j] = argv[j + used];
-        *argc -= used;
-        return true;
-    }
-    return false;
-}
 
 bool
 readFile(const std::string &path, std::string *out)
@@ -154,40 +90,37 @@ main(int argc, char **argv)
 {
     using namespace vax;
 
-    if (parseBoolFlag(&argc, argv, "help")) {
-        printUsage(argv[0], stdout);
-        return 0;
-    }
-
-    bool json = parseBoolFlag(&argc, argv, "json");
-    bool csv = parseBoolFlag(&argc, argv, "csv");
-    unsigned jobs = parseJobsFlag(&argc, argv, envJobs(0));
-    std::string statsPath = stats::parseStatsJsonFlag(&argc, argv);
-
-    std::string check_path, annotate_path, out_path, value;
-    if (parseValueFlag(&argc, argv, "--check", &value))
-        check_path = value;
-    if (parseValueFlag(&argc, argv, "--annotate", &value))
-        annotate_path = value;
-    if (parseValueFlag(&argc, argv, "--out", &value))
-        out_path = value;
-
-    if (argc > 1) {
-        std::fprintf(stderr, "%s: unrecognized argument '%s'\n\n",
-                     argv[0], argv[1]);
-        printUsage(argv[0], stderr);
-        return 2;
-    }
-    if (json && csv) {
-        std::fprintf(stderr, "%s: pick one of --json / --csv\n",
-                     argv[0]);
-        return 2;
-    }
-    if (!annotate_path.empty() && check_path.empty()) {
-        std::fprintf(stderr, "%s: --annotate requires --check\n",
-                     argv[0]);
-        return 2;
-    }
+    bool json = false, csv = false;
+    std::optional<unsigned> jobs;
+    std::string statsPath, check_path, annotate_path, out_path;
+    cli::CommandLine cl(
+        "Static cycle-bound analysis of the microcode ROM.",
+        {cli::text("--check", "FILE",
+                   "cross-check a ucharacterize baseline JSON:\n"
+                   "every measured row must satisfy\n"
+                   "bcc <= cycles <= wcc (exit 1 on breach)",
+                   &check_path),
+         cli::text("--annotate", "FILE",
+                   "with --check: write the baseline back out\n"
+                   "with bcc/wcc columns attached per row",
+                   &annotate_path),
+         cli::flag("--json", "emit the bounds report as JSON", &json),
+         cli::flag("--csv", "emit the bounds report as CSV", &csv),
+         cli::text("--out", "FILE",
+                   "write the report to FILE instead of stdout",
+                   &out_path),
+         jobsFlag(&jobs, "worker threads for the baseline check (0 =\n"
+                         "one per core; output is byte-identical at\n"
+                         "any worker count)"),
+         cli::text("--stats-json", "FILE",
+                   "also dump ubound.* / uchar.bounds.* stats",
+                   &statsPath)});
+    cl.parse(&argc, argv);
+    if (json && csv)
+        cl.fail("pick one of --json / --csv");
+    if (!annotate_path.empty() && check_path.empty())
+        cl.fail("--annotate requires --check");
+    SimPool pool(jobs.value_or(envJobs()));
 
     UBoundAnalysis ub(microcodeRom());
     UBoundReport report = ub.report();
@@ -233,7 +166,6 @@ main(int argc, char **argv)
             uint64_t lo = 0, hi = 0;
         };
         std::vector<RowBound> rb(baseline.rows.size());
-        SimPool pool(jobs);
         pool.forEach(baseline.rows.size(), [&](size_t i) {
             const UcharRow &row = baseline.rows[i];
             auto it = byKey.find(row.op + "\t" + row.mode);
